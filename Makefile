@@ -11,8 +11,8 @@ GOVULNCHECK_VERSION ?= v1.1.4
 DETERMINISM_OUT ?= determinism-out
 
 .PHONY: all fmt-check vet build test test-race staticcheck govulncheck \
-	bench-smoke ablation-smoke determinism bench-json bench-gate \
-	bench-crosscheck profile ci
+	perfbench-test bench-smoke ablation-smoke determinism bench-json \
+	bench-gate bench-crosscheck profile ci
 
 all: ci
 
@@ -30,6 +30,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The benchmark harness in perfbench/ is its own module outside ./..., so
+# `make test` never compiles it; this target does, so deleting or renaming an
+# API the harness uses fails here rather than only when the benchmark runs.
+perfbench-test:
+	cd perfbench && GOWORK=off $(GO) test ./...
 
 # The simulation is single-goroutine by design, but the race detector still
 # catches unsynchronised state sneaking into the event machinery.
@@ -62,7 +68,7 @@ bench-smoke:
 # all server families and both dual-mechanism switching paths, so
 # dispatch-loop regressions fail the workflow even when unit tests miss them.
 ablation-smoke:
-	$(GO) run ./cmd/sweep -ablation -connections 600 -quiet > /dev/null
+	$(GO) run ./cmd/benchfig -ablation -connections 600 -quiet > /dev/null
 
 # The simulation promises byte-identical output for identical inputs AND for
 # any kernel thread count; run one rate figure, one multi-worker scaling
@@ -161,4 +167,4 @@ profile:
 		> $(PROFILE_OUT)/fig16.txt
 	@echo "profiles written to $(PROFILE_OUT)/ (cpu.pprof, mem.pprof, mutex.pprof, block.pprof)"
 
-ci: fmt-check vet staticcheck govulncheck build test bench-smoke ablation-smoke determinism
+ci: fmt-check vet staticcheck govulncheck build test perfbench-test bench-smoke ablation-smoke determinism

@@ -1,16 +1,21 @@
-// Package repro's top-level benchmarks regenerate every figure of the paper's
-// evaluation (Figures 4 through 14) plus the ablation studies listed in
-// DESIGN.md. Each benchmark iteration runs one complete benchmark point
-// (server + load generator inside the discrete-event simulation) and reports,
-// alongside ns/op, the reproduction's own metrics as custom units:
+// Package repro's top-level benchmarks run points of the paper's figures
+// (Figures 4 through 14), of the extension families (epoll, compio, hybrid,
+// keep-alive, prefork scaling, overload workloads, scale) and of the
+// ablation studies listed in DESIGN.md. Each benchmark iteration runs one
+// complete benchmark point (server + load generator inside the
+// discrete-event simulation) and reports, alongside ns/op, the
+// reproduction's own metrics as custom units:
 //
 //	replies/s      average reply rate (what Figures 4-9 and 11-13 plot)
 //	err%           failed connection percentage (Figure 10)
 //	median-ms      median connection time (Figure 14)
+//	p99-ms         p99 connection time (the overload figures, 19+)
+//	cpu%           mean per-CPU utilisation
 //
 // Reduced-size runs are used so `go test -bench=. -benchmem` finishes in
 // minutes; pass -figconns to scale up (the paper used 35000 connections per
-// point, cf. cmd/benchfig and cmd/sweep).
+// point). `go run ./cmd/benchfig` regenerates whole figures and ablation
+// tables.
 package repro
 
 import (
@@ -20,6 +25,7 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/loadgen"
 	"repro/internal/netsim"
 	"repro/internal/servers/httpcore"
 	"repro/internal/servers/prefork"
@@ -154,19 +160,20 @@ func BenchmarkExtThttpdCompioLoad501(b *testing.B) {
 // mmap response cache and sendfile write path. Connections counts offered
 // requests, so every variant serves the same request budget.
 func BenchmarkExtKeepAlive(b *testing.B) {
+	serial := loadgen.ClientProfile{RequestsPerConn: experiments.KeepAliveRequests}
+	pipelined := loadgen.ClientProfile{RequestsPerConn: experiments.KeepAliveRequests, PipelineDepth: experiments.KeepAliveRequests}
 	variants := []struct {
 		name string
 		spec experiments.RunSpec
 	}{
 		{"http10", experiments.RunSpec{}},
 		{"keepalive", experiments.RunSpec{
-			HTTP:            httpcore.Options{KeepAlive: true},
-			RequestsPerConn: experiments.KeepAliveRequests,
+			HTTP:   httpcore.Options{KeepAlive: true},
+			Client: serial,
 		}},
 		{"pipelined", experiments.RunSpec{
-			HTTP:            httpcore.Options{KeepAlive: true},
-			RequestsPerConn: experiments.KeepAliveRequests,
-			PipelineDepth:   experiments.KeepAliveRequests,
+			HTTP:   httpcore.Options{KeepAlive: true},
+			Client: pipelined,
 		}},
 		{"cached-sendfile", experiments.RunSpec{
 			HTTP: httpcore.Options{
@@ -174,8 +181,7 @@ func BenchmarkExtKeepAlive(b *testing.B) {
 				CacheKB:   64,
 				WriteMode: httpcore.WriteSendfile,
 			},
-			RequestsPerConn: experiments.KeepAliveRequests,
-			PipelineDepth:   experiments.KeepAliveRequests,
+			Client: pipelined,
 		}},
 	}
 	for _, v := range variants {

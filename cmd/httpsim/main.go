@@ -2,7 +2,7 @@
 // rate, one inactive-connection load — and prints the detailed result:
 // reply-rate samples, latency percentiles, error breakdown, mechanism
 // statistics and CPU utilisation. It is the tool for poking at a single
-// configuration; cmd/sweep and cmd/benchfig regenerate whole figures.
+// configuration; cmd/benchfig regenerates whole figures and the ablations.
 package main
 
 import (

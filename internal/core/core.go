@@ -156,17 +156,6 @@ type Event struct {
 	Gen   uint64
 }
 
-// DVPoll mirrors struct dvpoll from Figure 3 of the paper. It is the argument
-// block for the DP_POLL ioctl on /dev/poll: where to deposit results, how many
-// results fit, and how long to wait. A nil Results slice together with
-// UseMapped selects the mmap'd result area (DP_ALLOC).
-type DVPoll struct {
-	Results   []PollFD // dp_fds: caller-supplied result area (nil with UseMapped)
-	NFDs      int      // dp_nfds: capacity of the result area
-	Timeout   Duration // dp_timeout: how long to block for events
-	UseMapped bool     // deposit results into the mmap'd kernel/user shared area
-}
-
 // Siginfo mirrors the simplified siginfo struct from Figure 2 of the paper:
 // the signal number and the sigpoll payload carrying the descriptor and the
 // band (event mask) that changed. Gen records the generation of the descriptor

@@ -600,9 +600,6 @@ func (ev *Event) FD() int { return ev.fd }
 // Pending reports whether the event is added.
 func (ev *Event) Pending() bool { return ev.added }
 
-// Priority returns the event's priority bucket.
-func (ev *Event) Priority() int { return ev.priority }
-
 // SetPriority assigns the event to a bucket (0 is highest). It must be called
 // while the event is not active; priorities outside the base's configured
 // range are an error.

@@ -33,6 +33,11 @@ type Backend struct {
 	// informational — both shapes implement the same Poller contract — but
 	// listings print it so the mechanisms can be told apart.
 	Completion bool
+	// Bulk marks mechanisms that keep a kernel-resident interest set a server
+	// can maintain concurrently with RT signal activity (§6's requirement for
+	// a cheap mode switch), so the hybrid server can use them as its bulk
+	// poller.
+	Bulk bool
 }
 
 // DeliveryStyle renders the backend's delivery semantics for listings:
@@ -59,6 +64,7 @@ var backends = []Backend{
 		Open: func(k *simkernel.Kernel, p *simkernel.Proc) core.Poller {
 			return epoll.Open(k, p, epoll.DefaultOptions())
 		},
+		Bulk: true,
 	},
 	{
 		Name:        "epoll-et",
@@ -68,6 +74,7 @@ var backends = []Backend{
 			opts.EdgeTriggered = true
 			return epoll.Open(k, p, opts)
 		},
+		Bulk: true,
 	},
 	{
 		Name:        "compio",
@@ -78,6 +85,7 @@ var backends = []Backend{
 		// Registration primes current readiness into the CQ, so no unprompted
 		// reads are needed even though delivery is transition-shaped.
 		Completion: true,
+		Bulk:       true,
 	},
 	{
 		Name:        "devpoll",
@@ -85,6 +93,7 @@ var backends = []Backend{
 		Open: func(k *simkernel.Kernel, p *simkernel.Proc) core.Poller {
 			return devpoll.Open(k, p, devpoll.DefaultOptions())
 		},
+		Bulk: true,
 	},
 	{
 		Name:        "rtsig",

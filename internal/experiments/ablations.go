@@ -5,9 +5,12 @@ import (
 	"strings"
 
 	"repro/internal/compio"
+	"repro/internal/core"
 	"repro/internal/devpoll"
+	"repro/internal/loadgen"
 	"repro/internal/servers/httpcore"
 	"repro/internal/servers/hybrid"
+	"repro/internal/simkernel"
 )
 
 // Ablation is one design-choice study beyond the paper's figures: it compares
@@ -46,18 +49,32 @@ func Ablations(connections int) []Ablation {
 		return s
 	}
 
-	noHints := devpoll.DefaultOptions()
-	noHints.UseHints = false
-	noMmap := devpoll.DefaultOptions()
-	noMmap.UseMmap = false
+	// The /dev/poll and compio variants swap in a poller built with one
+	// option changed from the registry's defaults.
+	devpollWith := func(rate float64, edit func(*devpoll.Options)) RunSpec {
+		s := base(ServerThttpdDevPoll, rate, 501)
+		opts := devpoll.DefaultOptions()
+		edit(&opts)
+		s.OpenPoller = func(k *simkernel.Kernel, p *simkernel.Proc) core.Poller {
+			return devpoll.Open(k, p, opts)
+		}
+		return s
+	}
+	compioWith := func(edit func(*compio.Options)) RunSpec {
+		s := base(ServerThttpdCompio, 1300, 501)
+		opts := compio.DefaultOptions()
+		edit(&opts)
+		s.OpenPoller = func(k *simkernel.Kernel, p *simkernel.Proc) core.Poller {
+			return compio.Open(k, p, opts)
+		}
+		return s
+	}
 
 	hintsOn := base(ServerThttpdDevPoll, 900, 501)
-	hintsOff := base(ServerThttpdDevPoll, 900, 501)
-	hintsOff.DevPollOptions = &noHints
+	hintsOff := devpollWith(900, func(o *devpoll.Options) { o.UseHints = false })
 
 	mmapOn := base(ServerThttpdDevPoll, 1000, 501)
-	mmapOff := base(ServerThttpdDevPoll, 1000, 501)
-	mmapOff.DevPollOptions = &noMmap
+	mmapOff := devpollWith(1000, func(o *devpoll.Options) { o.UseMmap = false })
 
 	single := base(ServerPhhttpd, 900, 251)
 	batch := base(ServerPhhttpd, 900, 251)
@@ -90,29 +107,20 @@ func Ablations(connections int) []Ablation {
 	// submissions one Enter amortises over — sweeps from no batching to deep
 	// batching.
 	compioBatch := func(sqSize int) RunSpec {
-		s := base(ServerThttpdCompio, 1300, 501)
-		opts := compio.DefaultOptions()
-		opts.SQSize = sqSize
-		s.CompioOptions = &opts
-		return s
+		return compioWith(func(o *compio.Options) { o.SQSize = sqSize })
 	}
 
 	// compio copy-avoidance: the batch configuration is held fixed (default
 	// SQ) while registered buffers toggle, isolating the per-read copy skip.
 	compioCopy := func(registered bool) RunSpec {
-		s := base(ServerThttpdCompio, 1300, 501)
-		opts := compio.DefaultOptions()
-		opts.RegisteredBuffers = registered
-		s.CompioOptions = &opts
-		return s
+		return compioWith(func(o *compio.Options) { o.RegisteredBuffers = registered })
 	}
 
 	// Persistent-connection hot path, one axis at a time on keep-alive epoll.
 	keepalive := func(http httpcore.Options, reqs, depth int) RunSpec {
 		s := base(ServerThttpdEpoll, 1300, 501)
 		s.HTTP = http
-		s.RequestsPerConn = reqs
-		s.PipelineDepth = depth
+		s.Client = loadgen.ClientProfile{RequestsPerConn: reqs, PipelineDepth: depth}
 		return s
 	}
 	kaOn := httpcore.Options{KeepAlive: true}
@@ -270,14 +278,18 @@ func Ablations(connections int) []Ablation {
 	}
 }
 
-// AblationByID finds an ablation by identifier.
-func AblationByID(id string, connections int) (Ablation, bool) {
-	for _, a := range Ablations(connections) {
+// AblationByID finds an ablation by identifier, returning a listed-choices
+// error for an unknown one.
+func AblationByID(id string, connections int) (Ablation, error) {
+	all := Ablations(connections)
+	ids := make([]string, 0, len(all))
+	for _, a := range all {
 		if a.ID == id {
-			return a, true
+			return a, nil
 		}
+		ids = append(ids, a.ID)
 	}
-	return Ablation{}, false
+	return Ablation{}, fmt.Errorf("experiments: unknown ablation %q (choices: %s)", id, strings.Join(ids, ", "))
 }
 
 // RunAblation executes every variant of an ablation.

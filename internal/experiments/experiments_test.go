@@ -1,9 +1,14 @@
 package experiments
 
 import (
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/loadgen"
+	"repro/internal/servers/httpcore"
 	"repro/internal/servers/hybrid"
 )
 
@@ -236,7 +241,7 @@ func TestHybridSurvivesTinySignalQueueUnderOverload(t *testing.T) {
 }
 
 func TestFigureDefinitionsCoverPaper(t *testing.T) {
-	figs := Figures()
+	figs := paperFigures()
 	if len(figs) != 11 {
 		t.Fatalf("figures = %d, want 11 (FIG 4 through FIG 14)", len(figs))
 	}
@@ -251,15 +256,6 @@ func TestFigureDefinitionsCoverPaper(t *testing.T) {
 		if !seen[n] {
 			t.Fatalf("figure %d missing", n)
 		}
-	}
-	if _, ok := FigureByID("fig10"); !ok {
-		t.Fatal("FigureByID(fig10) failed")
-	}
-	if _, ok := FigureByID("14"); !ok {
-		t.Fatal("FigureByID(14) failed")
-	}
-	if _, ok := FigureByID("nope"); ok {
-		t.Fatal("FigureByID(nope) should fail")
 	}
 	if len(ServerKinds()) != 27 {
 		t.Fatalf("ServerKinds = %d, want the paper's four plus the registry-derived extensions, the prefork sizes and the push/dht families", len(ServerKinds()))
@@ -301,21 +297,100 @@ func TestFigureDefinitionsCoverPaper(t *testing.T) {
 	if _, err := RetargetKind(ServerThttpdPoll, "kqueue"); err == nil {
 		t.Fatal("RetargetKind with an unknown backend should fail")
 	}
-	if len(ExtensionFigures()) == 0 || len(AllFigures()) != len(Figures())+len(ExtensionFigures()) {
-		t.Fatal("extension figures not wired into AllFigures")
-	}
-	if _, ok := FigureByID("fig16"); !ok {
-		t.Fatal("FigureByID(fig16) failed")
-	}
-	for _, m := range []MetricKind{MetricReplyRate, MetricErrorPercent, MetricMedianLatency, MetricKind(99)} {
+	for _, m := range []MetricKind{MetricReplyRate, MetricErrorPercent, MetricMedianLatency, MetricReplyP99, MetricKind(99)} {
 		if m.String() == "" {
 			t.Fatal("metric string empty")
 		}
 	}
 }
 
+// mustFigure looks a rate-axis figure up in the catalogue.
+func mustFigure(t *testing.T, id string) Figure {
+	t.Helper()
+	e, err := Lookup(id)
+	if err != nil || e.Figure == nil {
+		t.Fatalf("Lookup(%q) = %+v, %v; want a rate-axis figure", id, e, err)
+	}
+	return *e.Figure
+}
+
+// TestCatalogue pins the one figure catalogue the tool lists and runs:
+// figures 4-43 each appear exactly once, in the historical listing order,
+// and every entry of all three kinds resolves by "figNN" and by bare number.
+func TestCatalogue(t *testing.T) {
+	cat := Catalogue()
+	if len(cat) != 40 {
+		t.Fatalf("catalogue has %d figures, want 40 (4 through 43)", len(cat))
+	}
+	ids, kinds := map[string]bool{}, map[string]bool{}
+	for _, e := range cat {
+		if ids[e.ID] {
+			t.Fatalf("duplicate catalogue id %s", e.ID)
+		}
+		ids[e.ID] = true
+		if (e.Figure == nil) == (e.Workers == nil) {
+			t.Fatalf("%s must set exactly one of Figure and Workers", e.ID)
+		}
+		if e.ID != fmt.Sprintf("fig%02d", e.Number) || e.Title == "" {
+			t.Fatalf("malformed entry %+v", e)
+		}
+		kind := "workers"
+		if e.Figure != nil {
+			kind = e.Figure.Metric.String()
+			if e.Figure.ID != e.ID || e.Figure.Number != e.Number || e.Figure.Title != e.Title {
+				t.Fatalf("%s entry header disagrees with its figure", e.ID)
+			}
+		}
+		kinds[kind] = true
+		for _, key := range []string{e.ID, strconv.Itoa(e.Number), " " + strings.ToUpper(e.ID) + " "} {
+			got, err := Lookup(key)
+			if err != nil || got.ID != e.ID {
+				t.Fatalf("Lookup(%q) = %s, %v; want %s", key, got.ID, err, e.ID)
+			}
+		}
+	}
+	// Listing and sweep order is the historical one: 4-25, the keep-alive
+	// family 32-35, then 26-31 and 36-43.
+	var want []int
+	for _, r := range [][2]int{{4, 25}, {32, 35}, {26, 31}, {36, 43}} {
+		for n := r[0]; n <= r[1]; n++ {
+			want = append(want, n)
+		}
+	}
+	for i, e := range cat {
+		if e.Number != want[i] {
+			t.Fatalf("catalogue entry %d is figure %d, want %d", i, e.Number, want[i])
+		}
+	}
+	// Rate, reply-and-p99 and worker-count figures all live in it.
+	for _, want := range []string{MetricReplyRate.String(), MetricReplyP99.String(), "workers"} {
+		if !kinds[want] {
+			t.Fatalf("catalogue has no %q figure", want)
+		}
+	}
+}
+
+// TestUnknownIDsListChoices: an unknown figure or ablation id fails with an
+// error naming the valid choices, so the tool can reject it instead of
+// silently running nothing.
+func TestUnknownIDsListChoices(t *testing.T) {
+	for _, id := range []string{"nope", "44", "fig3", ""} {
+		_, err := Lookup(id)
+		if err == nil || !strings.Contains(err.Error(), "choices: fig04, ") || !strings.Contains(err.Error(), "fig43") {
+			t.Fatalf("Lookup(%q) error = %v, want listed choices", id, err)
+		}
+	}
+	if _, err := AblationByID("hints", 0); err != nil {
+		t.Fatalf("AblationByID(hints) = %v", err)
+	}
+	_, err := AblationByID("nosuch", 0)
+	if err == nil || !strings.Contains(err.Error(), "choices: hints, mmap, ") {
+		t.Fatalf("AblationByID(nosuch) error = %v, want listed choices", err)
+	}
+}
+
 func TestRunFigureAndFormat(t *testing.T) {
-	fig, _ := FigureByID("fig05")
+	fig := mustFigure(t, "fig05")
 	res := RunFigure(fig, SweepOptions{Connections: 800, Rates: []float64{600, 900}, Progress: t.Logf})
 	// One curve × (avg, min, max) series.
 	if len(res.Series) != 3 {
@@ -335,7 +410,7 @@ func TestRunFigureAndFormat(t *testing.T) {
 	}
 
 	// An error-percent figure produces one series per curve.
-	fig10, _ := FigureByID("fig10")
+	fig10 := mustFigure(t, "fig10")
 	res10 := RunFigure(fig10, SweepOptions{Connections: 600, Rates: []float64{900}})
 	if len(res10.Series) != len(fig10.Curves) {
 		t.Fatalf("fig10 series = %d", len(res10.Series))
@@ -362,13 +437,6 @@ func TestAblationDefinitionsAndRun(t *testing.T) {
 			t.Fatalf("ablation %q missing", want)
 		}
 	}
-	if _, ok := AblationByID("hints", 0); !ok {
-		t.Fatal("AblationByID failed")
-	}
-	if _, ok := AblationByID("nope", 0); ok {
-		t.Fatal("AblationByID(nope) should fail")
-	}
-
 	// Run the cheapest meaningful ablation end to end with a small size.
 	a, _ := AblationByID("hints", 800)
 	res := RunAblation(a, nil)
@@ -393,9 +461,9 @@ func TestAblationDefinitionsAndRun(t *testing.T) {
 // compio and netsim unit tests; at the full-size 1300 req/s knee the effect
 // surfaces as a monotone median-latency improvement.)
 func TestCompioAblationEffects(t *testing.T) {
-	batch, ok := AblationByID("compio-batch", 800)
-	if !ok {
-		t.Fatal("compio-batch ablation missing")
+	batch, err := AblationByID("compio-batch", 800)
+	if err != nil {
+		t.Fatal(err)
 	}
 	shallow := Run(batch.Variants[0].Spec)                  // sq-1
 	deep := Run(batch.Variants[len(batch.Variants)-1].Spec) // sq-64
@@ -404,14 +472,43 @@ func TestCompioAblationEffects(t *testing.T) {
 			shallow.CPUUtilization, deep.CPUUtilization)
 	}
 
-	regbuf, ok := AblationByID("compio-regbuf", 800)
-	if !ok {
-		t.Fatal("compio-regbuf ablation missing")
+	regbuf, err := AblationByID("compio-regbuf", 800)
+	if err != nil {
+		t.Fatal(err)
 	}
 	registered := Run(regbuf.Variants[0].Spec)
 	unregistered := Run(regbuf.Variants[1].Spec)
 	if registered.CPUUtilization >= unregistered.CPUUtilization {
 		t.Fatalf("registered cpu %.4f should be below unregistered cpu %.4f: registered buffers skip the read copy",
 			registered.CPUUtilization, unregistered.CPUUtilization)
+	}
+}
+
+// TestClientProfilePrecedence: a partial RunSpec.Client is laid over
+// loadgen.DefaultConfig's profile and the scaled-run timeout rather than
+// replacing them, and a caller's Client.Timeout beats the scaled timeout.
+func TestClientProfilePrecedence(t *testing.T) {
+	wl, _ := loadgen.LookupWorkload("")
+	partial := RunSpec{RequestRate: 1000, Inactive: 251, Connections: 14000,
+		Client: loadgen.ClientProfile{RequestsPerConn: 8}}
+	// 14000 offered requests scale the paper's 5 s client timeout to 2 s.
+	got := loadConfig(partial, wl, 14000, 14*core.Second).Profile
+	want := loadgen.ClientProfile{RequestsPerConn: 8, Timeout: 2 * core.Second,
+		InactiveRTT: 100 * core.Millisecond, Jitter: 0.2}
+	if got != want {
+		t.Fatalf("partial client profile = %+v, want %+v", got, want)
+	}
+	partial.Client.Timeout = 3 * core.Second
+	if got := loadConfig(partial, wl, 14000, 14*core.Second).Profile.Timeout; got != 3*core.Second {
+		t.Fatalf("Client.Timeout = %v, want the caller's 3s over the scaled 2s", got)
+	}
+
+	// End to end, the generator runs with the overlaid profile.
+	res := Run(RunSpec{Server: ServerThttpdEpoll, RequestRate: 1000, Connections: 800, Seed: 1,
+		HTTP: httpcore.Options{KeepAlive: true}, Client: loadgen.ClientProfile{RequestsPerConn: 8}})
+	p := res.Load.Config.Profile
+	if p.RequestsPerConn != 8 || p.PipelineDepth != 1 || p.Jitter != 0.2 ||
+		p.InactiveRTT != 100*core.Millisecond || p.Timeout != core.Second {
+		t.Fatalf("run's client profile = %+v", p)
 	}
 }

@@ -3,21 +3,25 @@ package experiments
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/faults"
+	"repro/internal/loadgen"
 	"repro/internal/metrics"
+	"repro/internal/netsim"
 	"repro/internal/servers/httpcore"
 )
 
 // MetricKind selects what a figure plots on its y axis.
 type MetricKind int
 
-// Metrics plotted by the paper's figures.
+// Metrics plotted by the figures.
 const (
 	MetricReplyRate     MetricKind = iota // average/min/max reply rate (FIGS 4-9, 11-13)
 	MetricErrorPercent                    // percentage of failed connections (FIG 10)
 	MetricMedianLatency                   // median connection time in ms (FIG 14)
+	MetricReplyP99                        // reply-rate average and p99 connection time (figs 19+)
 )
 
 // String names the metric.
@@ -29,8 +33,44 @@ func (m MetricKind) String() string {
 		return "errors (percent)"
 	case MetricMedianLatency:
 		return "median connection time (ms)"
+	case MetricReplyP99:
+		return "reply rate and p99 connection time"
 	default:
 		return "unknown"
+	}
+}
+
+// series returns the empty series one curve plots under the metric.
+func (m MetricKind) series(label, xlabel string) []metrics.Series {
+	mk := func(suffix, ylabel string) metrics.Series {
+		return metrics.Series{Label: label + suffix, XLabel: xlabel, YLabel: ylabel}
+	}
+	switch m {
+	case MetricReplyRate:
+		y := m.String()
+		return []metrics.Series{mk(" (avg)", y), mk(" (min)", y), mk(" (max)", y)}
+	case MetricReplyP99:
+		return []metrics.Series{mk(" (reply avg)", MetricReplyRate.String()), mk(" (p99 ms)", "p99 connection time (ms)")}
+	default:
+		return []metrics.Series{mk("", m.String())}
+	}
+}
+
+// observe appends one run's y values at x to the series the metric's series
+// method returned.
+func (m MetricKind) observe(ss []metrics.Series, x float64, r RunResult) {
+	switch m {
+	case MetricReplyRate:
+		ss[0].Append(x, r.Load.ReplyRate.Mean)
+		ss[1].Append(x, r.Load.ReplyRate.Min)
+		ss[2].Append(x, r.Load.ReplyRate.Max)
+	case MetricErrorPercent:
+		ss[0].Append(x, r.Load.ErrorPercent)
+	case MetricMedianLatency:
+		ss[0].Append(x, r.Load.MedianLatencyMs)
+	case MetricReplyP99:
+		ss[0].Append(x, r.Load.ReplyRate.Mean)
+		ss[1].Append(x, r.Latency.P99)
 	}
 }
 
@@ -40,37 +80,146 @@ type Curve struct {
 	Server   ServerKind
 	Inactive int
 
-	// HTTP, RequestsPerConn and PipelineDepth give the curve its own
-	// persistent-connection configuration (the keep-alive figure family,
-	// figs 32-35); zero values select the HTTP/1.0 paths or the sweep-level
-	// overrides.
-	HTTP            httpcore.Options
-	RequestsPerConn int
-	PipelineDepth   int
+	// HTTP and Client give the curve its own persistent-connection
+	// configuration (the keep-alive figure family, figs 32-35); zero values
+	// select the HTTP/1.0 paths or the sweep-level overrides.
+	HTTP   httpcore.Options
+	Client loadgen.ClientProfile
 }
 
-// Figure describes one of the paper's evaluation figures and how to
-// regenerate it.
+// Figure describes one figure swept over the offered request rate (or, for
+// the churn and chaos families, over a churn or fault knob at one fixed
+// rate) and how to regenerate it.
 type Figure struct {
-	ID     string // "fig04" ... "fig14"
+	ID     string // "fig04" ... "fig43"
 	Number int
 	Title  string
-	// Paper summarises what the original figure showed, so EXPERIMENTS.md can
+	// Paper summarises what the original figure showed (or, for figures
+	// beyond the paper, what the extension expects), so EXPERIMENTS.md can
 	// compare shape against the reproduction.
 	Paper  string
 	Metric MetricKind
-	Rates  []float64
-	Curves []Curve
+	// Workload names the loadgen scenario every point runs under; empty
+	// selects the paper's constant workload.
+	Workload string
+	Rates    []float64
+	Curves   []Curve
+	// Connections, when positive, is the figure's own per-point connection
+	// count, used when the sweep options leave it unset. The scale family
+	// (figs 26-28) pins 10k/20k/30k here; every other figure uses the global
+	// scaled-down default.
+	Connections int
+	// PortSpace, when positive, overrides the client ephemeral-port space.
+	// The 100k-1M family (figs 29-31) must raise it: the paper capped runs
+	// at 35000 connections precisely because 60 s of TIME-WAIT exhausts a
+	// 60000-port space, and these figures push far past that.
+	PortSpace int
+	// Churn, when non-empty, turns the figure's x axis into the churn
+	// workload's peer join rate: every curve runs once per churn value at the
+	// figure's single fixed offered rate (Rates[0]). Only the mostly-idle
+	// family (fig39) uses it.
+	Churn []float64
+	// Fault, when non-empty, turns the figure's x axis into a fault-injection
+	// knob swept over FaultValues at the figure's single fixed offered rate
+	// (Rates[0]), the same shape as the churn axis. Knobs: "reset" (fraction
+	// of connections RST mid-exchange), "fdlimit" (RLIMIT_NOFILE; 0 =
+	// unlimited), "eintr" (probability a blocking wait is interrupted),
+	// "overflow" (RT signal queue limit and completion-ring capacity). Only
+	// the chaos family (figs 40-43) uses it.
+	Fault       string
+	FaultValues []float64
+	// Faults is the figure's base fault configuration, applied to every point
+	// before the Fault axis knob; the zero value injects nothing.
+	Faults faults.Config
 }
 
-// DefaultRates is the request-rate sweep used by every figure (the paper's x
+// axis returns the figure's x axis — its table column name, its series label
+// and its values: the offered rates unless the figure sweeps churn or a fault
+// knob at one fixed rate.
+func (f Figure) axis(rates []float64) (name, label string, xs []float64) {
+	switch {
+	case f.Fault != "":
+		return f.Fault, faultAxisLabel(f.Fault), f.FaultValues
+	case len(f.Churn) > 0:
+		return "churn", "churn rate", f.Churn
+	}
+	return "rate", "request rate", rates
+}
+
+// Entry is one figure of the catalogue: a Figure, or a WorkerFigure whose x
+// axis is the worker count. Exactly one of the two is set.
+type Entry struct {
+	ID      string
+	Number  int
+	Title   string
+	Figure  *Figure
+	Workers *WorkerFigure
+}
+
+// PinsConnections reports whether the figure sets its own per-point
+// connection count (the scale and mostly-idle families, at 10k-1M
+// connections); the default "all" set leaves those out.
+func (e Entry) PinsConnections() bool { return e.Figure != nil && e.Figure.Connections > 0 }
+
+// Run regenerates the figure and returns its formatted table and raw runs.
+func (e Entry) Run(opts SweepOptions) (string, []RunResult) {
+	if e.Workers != nil {
+		res := RunWorkerFigure(*e.Workers, opts)
+		return FormatWorkers(res), res.Runs
+	}
+	res := RunFigure(*e.Figure, opts)
+	return Format(res), res.Runs
+}
+
+// Catalogue returns every figure in listing and sweep order: the paper's
+// figures (4-14) and the epoll extensions (15-16), the worker-scaling figures
+// (17-18), then the overload (19-25), keep-alive (32-35), scale (26-31),
+// mostly-idle (36-39) and chaos (40-43) families.
+func Catalogue() []Entry {
+	var out []Entry
+	add := func(figs []Figure) {
+		for i := range figs {
+			f := &figs[i]
+			out = append(out, Entry{ID: f.ID, Number: f.Number, Title: f.Title, Figure: f})
+		}
+	}
+	add(paperFigures())
+	add(extensionFigures())
+	for _, w := range workerFigures() {
+		out = append(out, Entry{ID: w.ID, Number: w.Number, Title: w.Title, Workers: &w})
+	}
+	add(overloadFigures())
+	add(keepAliveFigures())
+	add(scaleFigures())
+	add(massiveScaleFigures())
+	add(mostlyIdleFigures())
+	add(chaosFigures())
+	return out
+}
+
+// Lookup finds a catalogue figure by its "fig04"-style identifier or its bare
+// number ("4"), returning a listed-choices error for an unknown one.
+func Lookup(id string) (Entry, error) {
+	key := strings.ToLower(strings.TrimSpace(id))
+	cat := Catalogue()
+	ids := make([]string, 0, len(cat))
+	for _, e := range cat {
+		if e.ID == key || strconv.Itoa(e.Number) == key {
+			return e, nil
+		}
+		ids = append(ids, e.ID)
+	}
+	return Entry{}, fmt.Errorf("experiments: unknown figure %q (choices: %s)", id, strings.Join(ids, ", "))
+}
+
+// DefaultRates is the request-rate sweep used by the paper's figures (its x
 // axis runs from 500 to 1100 requests per second).
 func DefaultRates() []float64 {
 	return []float64{500, 600, 700, 800, 900, 1000, 1100}
 }
 
-// Figures returns the full set of figure definitions, in paper order.
-func Figures() []Figure {
+// paperFigures returns the paper's figures 4-14.
+func paperFigures() []Figure {
 	rates := DefaultRates()
 	replyFig := func(num int, server ServerKind, inactive int, title, paper string) Figure {
 		return Figure{
@@ -141,10 +290,10 @@ func Figures() []Figure {
 	}
 }
 
-// ExtensionFigures returns figures that go beyond the paper: the epoll curves
+// extensionFigures returns figures that go beyond the paper: the epoll curves
 // the follow-up literature made the obvious next measurement. Extension
 // figures use numbers above the paper's 14 so identifiers stay unambiguous.
-func ExtensionFigures() []Figure {
+func extensionFigures() []Figure {
 	rates := DefaultRates()
 	return []Figure{
 		{
@@ -173,53 +322,38 @@ func ExtensionFigures() []Figure {
 	}
 }
 
-// AllFigures returns the paper's figures followed by the extension figures.
-func AllFigures() []Figure {
-	return append(Figures(), ExtensionFigures()...)
-}
-
-// FigureByID looks a figure up by its "fig04"-style identifier or by its bare
-// number ("4"), searching the paper's figures and the extensions.
-func FigureByID(id string) (Figure, bool) {
-	id = strings.ToLower(strings.TrimSpace(id))
-	for _, f := range AllFigures() {
-		if f.ID == id || fmt.Sprintf("%d", f.Number) == id {
-			return f, true
-		}
-	}
-	return Figure{}, false
-}
-
-// SweepOptions control how a figure is regenerated.
+// SweepOptions control how a figure is regenerated; the zero value runs the
+// figure as defined.
 type SweepOptions struct {
-	// Connections per point; zero selects 4000 (the scaled-down default). Use
-	// 35000 to reproduce the paper's full procedure.
+	// Connections per point; zero selects the figure's own count, else 4000
+	// (the scaled-down default). Use 35000 to reproduce the paper's full
+	// procedure.
 	Connections int
 	// Rates overrides the figure's request-rate sweep (useful for quick runs).
 	Rates []float64
+	// Workers overrides the worker-count sweep of the worker-scaling figures
+	// and rebuilds the prefork curves of the prefork overload figure.
+	Workers []int
 	// Backend, when non-empty, re-parameterises each curve's server onto the
 	// named eventlib backend (see RetargetKind): thttpd curves switch their
-	// event backend, hybrid curves their bulk poller. The name must be valid —
-	// callers validate it against the registry first.
+	// event backend, hybrid curves their bulk poller, prefork curves their
+	// per-worker backend. The name must be valid — callers validate it
+	// against the registry first; the drivers panic on an unknown name.
 	Backend string
 	// Workload, when non-empty, re-runs every point under the named loadgen
-	// workload scenario (arrival process, background behavior, RTT mix). The
-	// name must be valid — callers validate it via loadgen.LookupWorkload
-	// first; Run panics on an unknown name, like Backend.
+	// workload scenario instead of the figure's own. The name must be valid
+	// (loadgen.LookupWorkload).
 	Workload string
-	// Seed for the load generator.
+	// Seed for the load generator; zero selects 1.
 	Seed int64
-	// KeepAlive, RequestsPerConn, PipelineDepth, CacheKB and WriteMode apply
-	// a persistent-connection configuration to every curve that does not
-	// carry its own (the -keepalive/-requests-per-conn/-pipeline-depth/
-	// -cache-kb/-write-mode flags). RequestsPerConn > 1 or PipelineDepth > 1
-	// implies KeepAlive; KeepAlive alone defaults to 8 requests per
-	// connection.
-	KeepAlive       bool
-	RequestsPerConn int
-	PipelineDepth   int
-	CacheKB         int
-	WriteMode       httpcore.WriteMode
+	// HTTP and Client apply a persistent-connection configuration to every
+	// curve that does not carry its own (the -keepalive/-cache-kb/
+	// -write-mode/-requests-per-conn/-pipeline-depth flags). Client.
+	// RequestsPerConn > 1 or Client.PipelineDepth > 1 implies keep-alive;
+	// keep-alive alone defaults to KeepAliveRequests per connection.
+	// Client.Retry (the -retry flag) applies to every curve.
+	HTTP   httpcore.Options
+	Client loadgen.ClientProfile
 
 	// Fanout overrides the push workload's per-tick fan-out on push-* curves
 	// and ChurnRate the churn workload's join rate on dht-* curves (the
@@ -233,10 +367,6 @@ type SweepOptions struct {
 	// over it; the zero value injects nothing.
 	Faults faults.Config
 
-	// Retry enables the load generator's deterministic capped-exponential-
-	// backoff retry on every point (the -retry flag); off by default.
-	Retry bool
-
 	// Threads is the number of OS threads driving each point's simulation;
 	// values below 2 select the sequential engine. Deterministic metrics are
 	// byte-identical across thread counts (see RunSpec.Threads).
@@ -245,160 +375,226 @@ type SweepOptions struct {
 	Progress func(format string, args ...interface{})
 }
 
+// pointSpec builds the spec shared by one curve's points: the sweep and
+// figure defaults, the curve's or the sweep's HTTP and client configuration,
+// and the sweep-wide fault, fan-out, churn and thread settings. The caller
+// sets the x-axis knob.
+func (o SweepOptions) pointSpec(curve Curve, connections int, workload string) RunSpec {
+	if o.Connections > 0 {
+		connections = o.Connections
+	}
+	if connections <= 0 {
+		connections = 4000
+	}
+	seed := o.Seed
+	if seed == 0 {
+		seed = 1
+	}
+	spec := RunSpec{
+		Server:      curve.Server,
+		Inactive:    curve.Inactive,
+		Connections: connections,
+		Seed:        seed,
+		Workload:    workload,
+		Threads:     o.Threads,
+		FanoutSize:  o.Fanout,
+		ChurnRate:   o.ChurnRate,
+		Faults:      o.Faults,
+		Client:      o.Client,
+	}
+	if curve.HTTP != (httpcore.Options{}) || curve.Client.RequestsPerConn > 0 {
+		spec.HTTP = curve.HTTP
+		spec.Client.RequestsPerConn = curve.Client.RequestsPerConn
+		spec.Client.PipelineDepth = curve.Client.PipelineDepth
+		return spec
+	}
+	spec.HTTP = o.HTTP
+	spec.HTTP.KeepAlive = o.HTTP.KeepAlive || o.Client.RequestsPerConn > 1 || o.Client.PipelineDepth > 1
+	if spec.HTTP.KeepAlive && spec.Client.RequestsPerConn <= 1 {
+		spec.Client.RequestsPerConn = KeepAliveRequests
+	}
+	return spec
+}
+
+// retarget re-parameterises kind onto backend (see RetargetKind); the empty
+// backend keeps kind. The name is documented as caller-validated, and running
+// the wrong configuration while claiming the requested one would silently
+// corrupt results, so an unknown name panics like Run.
+func retarget(kind ServerKind, backend string) ServerKind {
+	if backend == "" {
+		return kind
+	}
+	kind, err := RetargetKind(kind, backend)
+	if err != nil {
+		panic(err)
+	}
+	return kind
+}
+
 // FigureResult holds everything needed to print or compare one regenerated
 // figure.
 type FigureResult struct {
 	Figure Figure
-	// Series holds one labelled series per plotted line. Reply-rate figures
-	// produce three series per curve (average, minimum, maximum), mirroring the
-	// error bars and min/max marks in the paper's graphs.
+	// Series holds the labelled series of every curve: three per curve for
+	// reply-rate figures (average, minimum, maximum, mirroring the error bars
+	// and min/max marks in the paper's graphs), two for reply-and-p99 figures,
+	// one otherwise.
 	Series []metrics.Series
 	// Runs holds the raw per-point results, keyed in sweep order.
 	Runs []RunResult
 }
 
-// RunFigure regenerates one figure by sweeping the request rate for each of
-// its curves.
+// RunFigure regenerates one figure by sweeping its x axis for each of its
+// curves. opts.Workload, when non-empty, overrides the figure's own workload.
 func RunFigure(fig Figure, opts SweepOptions) FigureResult {
+	fig = fig.withWorkerCounts(opts.Workers)
 	rates := fig.Rates
 	if len(opts.Rates) > 0 {
 		rates = opts.Rates
 	}
-	connections := opts.Connections
-	if connections <= 0 {
-		connections = 4000
+	workload := fig.Workload
+	if opts.Workload != "" {
+		workload = opts.Workload
 	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
+	_, xlabel, xs := fig.axis(rates)
 	out := FigureResult{Figure: fig}
 	for _, curve := range fig.Curves {
-		if opts.Backend != "" {
-			kind, err := RetargetKind(curve.Server, opts.Backend)
-			if err != nil {
-				// The backend name is documented as caller-validated; running
-				// the wrong configuration while claiming the requested one
-				// would silently corrupt results, so fail loudly like Run.
-				panic(err)
+		if kind := retarget(curve.Server, opts.Backend); kind != curve.Server {
+			// The label must name what actually ran, not the figure's
+			// original mechanism.
+			if curve.Label == string(curve.Server) {
+				curve.Label = string(kind)
+			} else {
+				curve.Label += " [" + string(kind) + "]"
 			}
-			if kind != curve.Server {
-				// The label must name what actually ran, not the figure's
-				// original mechanism.
-				if curve.Label == string(curve.Server) {
-					curve.Label = string(kind)
-				} else {
-					curve.Label += " [" + string(kind) + "]"
-				}
-				curve.Server = kind
-			}
+			curve.Server = kind
 		}
-		var avg, min, max, series metrics.Series
-		label := curve.Label
-		avg = metrics.Series{Label: label + " (avg)", XLabel: "request rate", YLabel: fig.Metric.String()}
-		min = metrics.Series{Label: label + " (min)", XLabel: "request rate", YLabel: fig.Metric.String()}
-		max = metrics.Series{Label: label + " (max)", XLabel: "request rate", YLabel: fig.Metric.String()}
-		series = metrics.Series{Label: label, XLabel: "request rate", YLabel: fig.Metric.String()}
-		for _, rate := range rates {
-			spec := RunSpec{
-				Server:      curve.Server,
-				RequestRate: rate,
-				Inactive:    curve.Inactive,
-				Connections: connections,
-				Seed:        seed,
-				Workload:    opts.Workload,
-				Threads:     opts.Threads,
-				Faults:      opts.Faults,
+		base := opts.pointSpec(curve, fig.Connections, workload)
+		if fig.PortSpace > 0 {
+			netCfg := netsim.DefaultConfig()
+			netCfg.PortSpace = fig.PortSpace
+			base.Network = &netCfg
+		}
+		if fig.Fault != "" && fig.Faults.Enabled() {
+			base.Faults = fig.Faults
+		}
+		ss := fig.Metric.series(curve.Label, xlabel)
+		for _, x := range xs {
+			spec := base
+			spec.RequestRate = x
+			switch {
+			case fig.Fault != "":
+				spec.RequestRate = rates[0]
+				applyFaultAxis(&spec, fig.Fault, x)
+			case len(fig.Churn) > 0:
+				spec.RequestRate = rates[0]
+				spec.ChurnRate = x
 			}
-			spec.Client.Retry = opts.Retry
-			applyHTTPSweep(&spec, curve, opts)
 			res := Run(spec)
 			out.Runs = append(out.Runs, res)
-			switch fig.Metric {
-			case MetricReplyRate:
-				avg.Append(rate, res.Load.ReplyRate.Mean)
-				min.Append(rate, res.Load.ReplyRate.Min)
-				max.Append(rate, res.Load.ReplyRate.Max)
-			case MetricErrorPercent:
-				series.Append(rate, res.Load.ErrorPercent)
-			case MetricMedianLatency:
-				series.Append(rate, res.Load.MedianLatencyMs)
-			}
+			fig.Metric.observe(ss, x, res)
 			if opts.Progress != nil {
-				opts.Progress("%s %s", fig.ID, Describe(res))
+				tag := fig.ID
+				if workload != "" {
+					tag += " [" + workload + "]"
+				}
+				opts.Progress("%s %s", tag, Describe(res))
 			}
 		}
-		if fig.Metric == MetricReplyRate {
-			out.Series = append(out.Series, avg, min, max)
-		} else {
-			out.Series = append(out.Series, series)
-		}
+		out.Series = append(out.Series, ss...)
 	}
 	return out
 }
 
-// applyHTTPSweep fills a spec's persistent-connection fields from the curve
-// (the keep-alive figure family carries per-curve configurations) or, when
-// the curve has none, from the sweep-level flag overrides. A zero curve and
-// zero options leave the spec untouched — the historical HTTP/1.0 run.
-func applyHTTPSweep(spec *RunSpec, curve Curve, opts SweepOptions) {
-	if curve.HTTP != (httpcore.Options{}) || curve.RequestsPerConn > 0 {
-		spec.HTTP = curve.HTTP
-		spec.RequestsPerConn = curve.RequestsPerConn
-		spec.PipelineDepth = curve.PipelineDepth
-		return
+// Format renders a figure result as the aligned text table the command-line
+// tool prints and EXPERIMENTS.md records.
+func Format(res FigureResult) string {
+	fig := res.Figure
+	var b strings.Builder
+	fmt.Fprintf(&b, "FIGURE %d (%s): %s\npaper: %s\n", fig.Number, fig.ID, fig.Title, fig.Paper)
+	if fig.Metric != MetricReplyP99 {
+		fmt.Fprintf(&b, "metric: %s\n", fig.Metric)
+		writeTable(&b, "rate", 22, res.Series)
+		return b.String()
 	}
-	ka := opts.KeepAlive || opts.RequestsPerConn > 1 || opts.PipelineDepth > 1
-	http := httpcore.Options{KeepAlive: ka, CacheKB: opts.CacheKB, WriteMode: opts.WriteMode}
-	if http == (httpcore.Options{}) {
-		return
+	workload := fig.Workload
+	if len(res.Runs) > 0 && res.Runs[0].Spec.Workload != "" {
+		workload = res.Runs[0].Spec.Workload
 	}
-	spec.HTTP = http
-	if ka {
-		spec.RequestsPerConn = opts.RequestsPerConn
-		if spec.RequestsPerConn <= 1 {
-			spec.RequestsPerConn = KeepAliveRequests
+	fmt.Fprintf(&b, "metric: %s vs offered load, workload %s\n", fig.Metric, workload)
+	if fig.Connections > 0 && len(res.Runs) > 0 {
+		fmt.Fprintf(&b, "connections: %d per point\n", res.Runs[0].Spec.Connections)
+	}
+	// Backend retargeting lengthens curve labels; widen every column to the
+	// longest so the header stays over its data.
+	width := 26
+	for _, s := range res.Series {
+		if len(s.Label)+2 > width {
+			width = len(s.Label) + 2
 		}
-		spec.PipelineDepth = opts.PipelineDepth
 	}
+	xname, _, _ := fig.axis(nil)
+	writeTable(&b, xname, width, res.Series)
+	return b.String()
 }
 
-// Format renders a figure result as the aligned text table the command-line
-// tools print and EXPERIMENTS.md records.
-func Format(res FigureResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "FIGURE %d (%s): %s\n", res.Figure.Number, res.Figure.ID, res.Figure.Title)
-	fmt.Fprintf(&b, "paper: %s\n", res.Figure.Paper)
-	fmt.Fprintf(&b, "metric: %s\n", res.Figure.Metric)
-
-	// Collect the x values actually present.
-	xs := map[float64]bool{}
-	for _, s := range res.Series {
+// writeTable renders series as an aligned table: one row per x value present
+// in any series, one width-wide column per series. Fractional x values (a
+// 0.02 fault rate) print with two decimals, whole ones as integers.
+func writeTable(b *strings.Builder, xname string, width int, series []metrics.Series) {
+	seen := map[float64]bool{}
+	for _, s := range series {
 		for _, x := range s.X {
-			xs[x] = true
+			seen[x] = true
 		}
 	}
-	rates := make([]float64, 0, len(xs))
-	for x := range xs {
-		rates = append(rates, x)
+	xs := make([]float64, 0, len(seen))
+	for x := range seen {
+		xs = append(xs, x)
 	}
-	sort.Float64s(rates)
-
-	fmt.Fprintf(&b, "%-12s", "rate")
-	for _, s := range res.Series {
-		fmt.Fprintf(&b, "%22s", s.Label)
+	sort.Float64s(xs)
+	xfmt := "%-12.0f"
+	for _, x := range xs {
+		if x != float64(int64(x)) {
+			xfmt = "%-12.2f"
+			break
+		}
+	}
+	fmt.Fprintf(b, "%-12s", xname)
+	for _, s := range series {
+		fmt.Fprintf(b, "%*s", width, s.Label)
 	}
 	b.WriteString("\n")
-	for _, rate := range rates {
-		fmt.Fprintf(&b, "%-12.0f", rate)
-		for _, s := range res.Series {
-			if y, ok := s.YAt(rate); ok {
-				fmt.Fprintf(&b, "%22.1f", y)
+	for _, x := range xs {
+		fmt.Fprintf(b, xfmt, x)
+		for _, s := range series {
+			if y, ok := s.YAt(x); ok {
+				fmt.Fprintf(b, "%*.1f", width, y)
 			} else {
-				fmt.Fprintf(&b, "%22s", "-")
+				fmt.Fprintf(b, "%*s", width, "-")
 			}
 		}
 		b.WriteString("\n")
+	}
+}
+
+// FormatPercentiles renders the per-point latency-percentile table the
+// -percentiles flag appends below a figure: the client-observed connection
+// distribution next to the server-side service distribution for every run.
+func FormatPercentiles(runs []RunResult) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-18s %6s %6s %10s | %9s %9s %9s %9s %9s | %9s %9s\n",
+		"server", "rate", "load", "workload",
+		"p50 ms", "p90 ms", "p99 ms", "p999 ms", "max ms", "svc p99", "svc p999")
+	for _, r := range runs {
+		wl := r.Spec.Workload
+		if wl == "" {
+			wl = "constant"
+		}
+		fmt.Fprintf(&b, "%-18s %6.0f %6d %10s | %9.2f %9.2f %9.2f %9.2f %9.2f | %9.2f %9.2f\n",
+			r.Spec.Server, r.Spec.RequestRate, r.Spec.Inactive, wl,
+			r.Latency.P50, r.Latency.P90, r.Latency.P99, r.Latency.P999, r.Latency.Max,
+			r.ServiceLatency.P99, r.ServiceLatency.P999)
 	}
 	return b.String()
 }

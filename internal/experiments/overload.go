@@ -2,59 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
-	"repro/internal/faults"
-	"repro/internal/metrics"
-	"repro/internal/netsim"
+	"repro/internal/loadgen"
 	"repro/internal/servers/httpcore"
 )
-
-// OverloadFigure is a figure of the overload family: the request-rate sweep
-// is driven well past every mechanism's saturation point, each curve is
-// plotted as reply rate *and* p99 connection latency, and the whole figure
-// runs under one named workload scenario (loadgen.Workloads). This is the
-// measurement the paper's Figures 4-13 gesture at — reply rate flat, then
-// declining past the knee — extended with the latency-distribution lens and
-// the adversarial client behaviors the original testbed could not produce.
-type OverloadFigure struct {
-	ID     string
-	Number int
-	Title  string
-	Paper  string
-	// Workload names the loadgen scenario every point runs under.
-	Workload string
-	Rates    []float64
-	Curves   []Curve
-	// Connections, when positive, is the figure's own per-point connection
-	// count, used when the sweep options leave it unset. The scale family
-	// (figs 26-28) pins 10k/20k/30k here; every other figure uses the global
-	// scaled-down default.
-	Connections int
-	// PortSpace, when positive, overrides the client ephemeral-port space.
-	// The 100k-1M family (figs 29-31) must raise it: the paper capped runs
-	// at 35000 connections precisely because 60 s of TIME-WAIT exhausts a
-	// 60000-port space, and these figures push far past that.
-	PortSpace int
-	// Churn, when non-empty, turns the figure's x axis into the churn
-	// workload's peer join rate: every curve runs once per churn value at the
-	// figure's single fixed offered rate (Rates[0]). Only the mostly-idle
-	// family (fig39) uses it.
-	Churn []float64
-	// Fault, when non-empty, turns the figure's x axis into a fault-injection
-	// knob swept over FaultValues at the figure's single fixed offered rate
-	// (Rates[0]), the same shape as the churn axis. Knobs: "reset" (fraction
-	// of connections RST mid-exchange), "fdlimit" (RLIMIT_NOFILE; 0 =
-	// unlimited), "eintr" (probability a blocking wait is interrupted),
-	// "overflow" (RT signal queue limit and completion-ring capacity). Only
-	// the chaos family (figs 40-43) uses it.
-	Fault       string
-	FaultValues []float64
-	// Faults is the figure's base fault configuration, applied to every point
-	// before the Fault axis knob; the zero value injects nothing.
-	Faults faults.Config
-}
 
 // OverloadRates is the default overload sweep: from comfortably below a
 // uniprocessor's capacity to well past it, so the knee falls inside the
@@ -78,12 +30,12 @@ func overloadMechanismCurves(inactive int) []Curve {
 	}
 }
 
-// OverloadFigures returns the overload figure family: one figure per
+// overloadFigures returns the overload figure family: one figure per
 // workload scenario over the paper's four mechanisms, plus the prefork
 // worker-count figure. Numbers continue after the worker-scaling figures so
 // identifiers stay unambiguous.
-func OverloadFigures() []OverloadFigure {
-	return []OverloadFigure{
+func overloadFigures() []Figure {
+	return []Figure{
 		{
 			ID:     "fig19",
 			Number: 19,
@@ -91,6 +43,7 @@ func OverloadFigures() []OverloadFigure {
 			Paper: "The shape Figures 4-13 imply but never draw in full: reply rate tracks the offered " +
 				"load, flattens at each mechanism's capacity, then declines as retries and timeouts eat " +
 				"useful work, while p99 latency explodes at the knee.",
+			Metric:   MetricReplyP99,
 			Workload: "constant",
 			Rates:    OverloadRates(),
 			Curves:   overloadMechanismCurves(251),
@@ -102,6 +55,7 @@ func OverloadFigures() []OverloadFigure {
 			Paper: "Not in the paper. Bursts at three times the nominal rate saturate every mechanism " +
 				"well before its constant-rate knee; the interest-set-scanning servers degrade soonest " +
 				"because each burst arrives on top of the idle-connection scan.",
+			Metric:   MetricReplyP99,
 			Workload: "flashcrowd",
 			Rates:    OverloadRates(),
 			Curves:   overloadMechanismCurves(251),
@@ -113,6 +67,7 @@ func OverloadFigures() []OverloadFigure {
 			Paper: "Not in the paper. Clumped arrivals with the same mean rate raise tail latency at " +
 				"every load; mechanisms with O(ready) waits absorb the clumps, poll() pays the full " +
 				"interest-set scan per clump.",
+			Metric:   MetricReplyP99,
 			Workload: "pareto",
 			Rates:    OverloadRates(),
 			Curves:   overloadMechanismCurves(251),
@@ -124,6 +79,7 @@ func OverloadFigures() []OverloadFigure {
 			Paper: "Not in the paper. Unlike silent inactive connections, tricklers generate a steady " +
 				"event stream and defeat the idle sweep: every dribbled byte costs an interrupt, a " +
 				"readiness event and a read, so the background load taxes the event path itself.",
+			Metric:   MetricReplyP99,
 			Workload: "slowloris",
 			Rates:    OverloadRates(),
 			Curves:   overloadMechanismCurves(251),
@@ -135,6 +91,7 @@ func OverloadFigures() []OverloadFigure {
 			Paper: "Not in the paper. Stalled readers make the server do the full accept/parse/serve " +
 				"work, then jam its response against a closed receive window: each one holds a " +
 				"descriptor, an interest-set entry and a blocked write until the idle sweep evicts it.",
+			Metric:   MetricReplyP99,
 			Workload: "stalled",
 			Rates:    OverloadRates(),
 			Curves:   overloadMechanismCurves(251),
@@ -146,6 +103,7 @@ func OverloadFigures() []OverloadFigure {
 			Paper: "Not in the paper, whose clients sit on a uniform LAN. Wide-area RTTs stretch " +
 				"connection lifetimes, so the server holds many more concurrent connections at the " +
 				"same offered rate and the p99 is dominated by the slow-path tail.",
+			Metric:   MetricReplyP99,
 			Workload: "wan",
 			Rates:    OverloadRates(),
 			Curves:   overloadMechanismCurves(251),
@@ -157,6 +115,7 @@ func OverloadFigures() []OverloadFigure {
 			Paper: "Not in the paper. Adding workers moves the knee to the right near-linearly: the " +
 				"offered rate at which reply rate departs the diagonal and p99 departs the floor " +
 				"roughly doubles from one to two to four workers.",
+			Metric:   MetricReplyP99,
 			Workload: "flashcrowd",
 			Rates:    []float64{1000, 2000, 3000, 4000},
 			Curves: []Curve{
@@ -175,16 +134,16 @@ func ScaleRates() []float64 {
 	return []float64{700, 1000, 1300}
 }
 
-// ScaleFigures returns the scale figure family (figs 26-28): the paper's
+// scaleFigures returns the scale figure family (figs 26-28): the paper's
 // reply-rate and p99 curves re-run at 10000, 20000 and 30000 benchmark
 // connections per point across all four event mechanisms plus the four-worker
 // prefork server. The paper's testbed topped out around 35000 connections per
 // run on a 400 MHz uniprocessor; these figures are what the optimized
 // simulation substrate buys — the same measurement an order of magnitude
 // beyond the original hardware's practical reach.
-func ScaleFigures() []OverloadFigure {
-	mk := func(num, conns int) OverloadFigure {
-		return OverloadFigure{
+func scaleFigures() []Figure {
+	mk := func(num, conns int) Figure {
+		return Figure{
 			ID:     fmt.Sprintf("fig%d", num),
 			Number: num,
 			Title: fmt.Sprintf("Scale: %d connections per point, four mechanisms plus prefork-4 and compio, 251 inactive connections",
@@ -193,6 +152,7 @@ func ScaleFigures() []OverloadFigure {
 				"client's port space and the testbed's speed. The mechanism ordering (poll collapses, " +
 				"/dev/poll and epoll sustain, RT signals fall between, prefork moves the knee right) " +
 				"must hold unchanged as the run grows an order of magnitude.",
+			Metric:      MetricReplyP99,
 			Workload:    "constant",
 			Rates:       ScaleRates(),
 			Connections: conns,
@@ -206,19 +166,19 @@ func ScaleFigures() []OverloadFigure {
 			},
 		}
 	}
-	return []OverloadFigure{mk(26, 10000), mk(27, 20000), mk(28, 30000)}
+	return []Figure{mk(26, 10000), mk(27, 20000), mk(28, 30000)}
 }
 
-// MassiveScaleFigures returns the 100k-1M-connection figure family (figs
+// massiveScaleFigures returns the 100k-1M-connection figure family (figs
 // 29-31): the scale measurement continued two further orders of magnitude,
 // which is what the sharded parallel kernel exists to make affordable. The
 // client port space grows with the run (the paper's 60000-port limit is a
 // client artifact, not a property of the server mechanisms under test); all
 // five server kinds remain comparable because each point still sweeps the
 // same rates against the same 251-connection inactive load.
-func MassiveScaleFigures() []OverloadFigure {
-	mk := func(num, conns int) OverloadFigure {
-		return OverloadFigure{
+func massiveScaleFigures() []Figure {
+	mk := func(num, conns int) Figure {
+		return Figure{
 			ID:     fmt.Sprintf("fig%d", num),
 			Number: num,
 			Title: fmt.Sprintf("Massive scale: %d connections per point, four mechanisms plus prefork-4, 251 inactive connections",
@@ -226,6 +186,7 @@ func MassiveScaleFigures() []OverloadFigure {
 			Paper: "Not in the paper: its testbed topped out near 35000 connections per run. This family " +
 				"re-runs the scale measurement at 100k-1M connections per point, where the interest-set " +
 				"mechanisms' ordering must survive three orders of magnitude of growth.",
+			Metric:      MetricReplyP99,
 			Workload:    "constant",
 			Rates:       ScaleRates(),
 			Connections: conns,
@@ -239,7 +200,7 @@ func MassiveScaleFigures() []OverloadFigure {
 			},
 		}
 	}
-	return []OverloadFigure{mk(29, 100000), mk(30, 300000), mk(31, 1000000)}
+	return []Figure{mk(29, 100000), mk(30, 300000), mk(31, 1000000)}
 }
 
 // mostlyIdleCurves returns the five paper mechanisms as curves of the given
@@ -254,14 +215,14 @@ func mostlyIdleCurves(family string) []Curve {
 	return curves
 }
 
-// MostlyIdleFigures returns the millions-mostly-idle figure family (figs
+// mostlyIdleFigures returns the millions-mostly-idle figure family (figs
 // 36-39): the server-push daemon's delivery rate and p99 delivery latency
 // against interest-set size and offered delivery rate, and the datagram
 // rendezvous node against ping rate and peer churn. These figures pin their
-// own connection counts (like the scale family), so the default sweep skips
-// them; regenerate with -figs 36,37,38,39.
-func MostlyIdleFigures() []OverloadFigure {
-	return []OverloadFigure{
+// own connection counts (like the scale family), so "-fig all" skips
+// them; regenerate with -fig 36,37,38,39.
+func mostlyIdleFigures() []Figure {
+	return []Figure{
 		{
 			ID:     "fig36",
 			Number: 36,
@@ -270,6 +231,7 @@ func MostlyIdleFigures() []OverloadFigure {
 				"silent; the server fans 32-payload ticks out to sampled member sets, so under 1% of the " +
 				"interest set is active at any instant and the mechanisms separate purely on what an " +
 				"idle registration costs per dispatch: poll rescans all 10000 members every tick.",
+			Metric:      MetricReplyP99,
 			Workload:    "push",
 			Rates:       []float64{1000, 4000, 16000},
 			Connections: 10000,
@@ -283,6 +245,7 @@ func MostlyIdleFigures() []OverloadFigure {
 				"pushes per tick (>=99.9% of the interest set idle), poll's full-set scan per tick " +
 				"dominates everything else the server does and its delivery rate collapses, while " +
 				"/dev/poll, epoll and the completion ring stay on the offered-rate diagonal.",
+			Metric:      MetricReplyP99,
 			Workload:    "push",
 			Rates:       []float64{1000, 3200, 6400},
 			Connections: 100000,
@@ -297,6 +260,7 @@ func MostlyIdleFigures() []OverloadFigure {
 				"their per-peer session sockets and leave; the interest set is one datagram descriptor " +
 				"per live peer, churning constantly, so the figure measures registration and teardown " +
 				"cost as much as dispatch.",
+			Metric:      MetricReplyP99,
 			Workload:    "dhtchurn",
 			Rates:       []float64{1000, 2000, 4000, 8000},
 			Connections: 4000,
@@ -310,6 +274,7 @@ func MostlyIdleFigures() []OverloadFigure {
 				"descriptor-churn/dispatch ratio: at low churn sessions live long and the run is all " +
 				"dispatch, at high churn every mechanism pays constant interest-set registration and " +
 				"teardown, the cost /dev/poll-style kernel-resident sets amortise and poll does not.",
+			Metric:      MetricReplyP99,
 			Workload:    "dhtchurn",
 			Rates:       []float64{2000},
 			Churn:       []float64{50, 100, 200, 400, 800},
@@ -319,8 +284,8 @@ func MostlyIdleFigures() []OverloadFigure {
 	}
 }
 
-// FaultAxisLabel names a chaos figure's x axis.
-func FaultAxisLabel(fault string) string {
+// faultAxisLabel names a chaos figure's x axis.
+func faultAxisLabel(fault string) string {
 	switch fault {
 	case "reset":
 		return "reset rate"
@@ -360,13 +325,13 @@ func applyFaultAxis(spec *RunSpec, fault string, x float64) {
 // fault's doing, not ambient overload.
 const ChaosRate = 900
 
-// ChaosFigures returns the chaos figure family (figs 40-43): the overload
+// chaosFigures returns the chaos figure family (figs 40-43): the overload
 // measurement re-run with the deterministic fault plane turned on, one fault
 // class per figure, swept on the x axis at a fixed offered rate. The
 // acceptance shape is graceful degradation: reply rate declines and p99 climbs
 // smoothly with the fault intensity, with no mechanism cliffing to zero.
-func ChaosFigures() []OverloadFigure {
-	return []OverloadFigure{
+func chaosFigures() []Figure {
+	return []Figure{
 		{
 			ID:     "fig40",
 			Number: 40,
@@ -376,6 +341,7 @@ func ChaosFigures() []OverloadFigure {
 				"ECONNRESET), half mid-response (the draining write fails with EPIPE). The server must " +
 				"unwind each one without leaking a descriptor, a pooled connection or a timer; reply rate " +
 				"should fall roughly linearly with the doomed fraction.",
+			Metric:      MetricReplyP99,
 			Workload:    "constant",
 			Rates:       []float64{ChaosRate},
 			Fault:       "reset",
@@ -391,6 +357,7 @@ func ChaosFigures() []OverloadFigure {
 				"The reserve-descriptor drain sheds the overflow cleanly and paced backoff keeps the " +
 				"accept loop from spinning; reply rate should degrade to the sustainable headroom, not " +
 				"collapse.",
+			Metric:      MetricReplyP99,
 			Workload:    "constant",
 			Rates:       []float64{ChaosRate},
 			Fault:       "fdlimit",
@@ -405,6 +372,7 @@ func ChaosFigures() []OverloadFigure {
 				"restarts with a recomputed timeout; the interrupt charges a signal delivery and the " +
 				"restart a fresh syscall entry. Readiness arriving during the interrupt window must not " +
 				"be lost, so the cost is pure overhead: reply rate bends down gently as p grows.",
+			Metric:      MetricReplyP99,
 			Workload:    "constant",
 			Rates:       []float64{ChaosRate},
 			Fault:       "eintr",
@@ -420,6 +388,7 @@ func ChaosFigures() []OverloadFigure {
 				"swallow a deterministic fraction of signal enqueues and ring posts, forcing repeated " +
 				"overflow-recovery cycles with live traffic between them; the mechanisms whose recovery " +
 				"is a bounded rescan degrade smoothly as the storm intensifies.",
+			Metric:      MetricReplyP99,
 			Workload:    "constant",
 			Rates:       []float64{ChaosRate},
 			Fault:       "overflow",
@@ -438,18 +407,18 @@ func ChaosFigures() []OverloadFigure {
 // amortise the connection setup, short enough that connections still churn.
 const KeepAliveRequests = 8
 
-// KeepAliveFigures returns the persistent-connection figure family (figs
+// keepAliveFigures returns the persistent-connection figure family (figs
 // 32-35): the HTTP/1.1 hot path measured one axis at a time — keep-alive
 // against close-per-request on all five mechanisms, pipeline depth, response
 // cache size, and the write path (copy vs writev vs sendfile).
-func KeepAliveFigures() []OverloadFigure {
+func keepAliveFigures() []Figure {
 	ka := httpcore.Options{KeepAlive: true}
 	pair := func(label string, server ServerKind) []Curve {
 		return []Curve{
 			{Label: label + " http/1.0", Server: server, Inactive: 251},
 			{Label: label + " keepalive", Server: server, Inactive: 251,
-				HTTP: ka, RequestsPerConn: KeepAliveRequests,
-				PipelineDepth: KeepAliveRequests},
+				HTTP: ka, Client: loadgen.ClientProfile{RequestsPerConn: KeepAliveRequests,
+					PipelineDepth: KeepAliveRequests}},
 		}
 	}
 	var cmp []Curve
@@ -461,7 +430,7 @@ func KeepAliveFigures() []OverloadFigure {
 
 	depth := func(d int) Curve {
 		return Curve{Label: fmt.Sprintf("depth-%d", d), Server: ServerThttpdEpoll,
-			Inactive: 251, HTTP: ka, RequestsPerConn: 16, PipelineDepth: d}
+			Inactive: 251, HTTP: ka, Client: loadgen.ClientProfile{RequestsPerConn: 16, PipelineDepth: d}}
 	}
 	cache := func(kb int) Curve {
 		label := "cache-off"
@@ -469,15 +438,15 @@ func KeepAliveFigures() []OverloadFigure {
 			label = fmt.Sprintf("cache-%dkb", kb)
 		}
 		return Curve{Label: label, Server: ServerThttpdEpoll, Inactive: 251,
-			HTTP:            httpcore.Options{KeepAlive: true, CacheKB: kb},
-			RequestsPerConn: KeepAliveRequests}
+			HTTP:   httpcore.Options{KeepAlive: true, CacheKB: kb},
+			Client: loadgen.ClientProfile{RequestsPerConn: KeepAliveRequests}}
 	}
 	write := func(m httpcore.WriteMode) Curve {
 		return Curve{Label: m.String(), Server: ServerThttpdEpoll, Inactive: 251,
-			HTTP:            httpcore.Options{KeepAlive: true, WriteMode: m},
-			RequestsPerConn: KeepAliveRequests}
+			HTTP:   httpcore.Options{KeepAlive: true, WriteMode: m},
+			Client: loadgen.ClientProfile{RequestsPerConn: KeepAliveRequests}}
 	}
-	return []OverloadFigure{
+	return []Figure{
 		{
 			ID:     "fig32",
 			Number: 32,
@@ -489,6 +458,7 @@ func KeepAliveFigures() []OverloadFigure {
 				"mechanisms whose per-event costs dominate (poll's full-set scan on every dispatch) gain " +
 				"the most. The offered request budget matches the HTTP/1.0 curves: one eighth as many " +
 				"connections at one eighth the connection rate.",
+			Metric:   MetricReplyP99,
 			Workload: "constant",
 			Rates:    OverloadRates(),
 			Curves:   cmp,
@@ -500,6 +470,7 @@ func KeepAliveFigures() []OverloadFigure {
 			Paper: "Not in the paper. Pipelining removes the client's request-response round trip from the " +
 				"connection's critical path; past depth ~4 the server's bounded per-dispatch batch (not " +
 				"the network) paces the connection, so returns diminish.",
+			Metric:   MetricReplyP99,
 			Workload: "constant",
 			Rates:    OverloadRates(),
 			Curves:   []Curve{depth(1), depth(4), depth(16)},
@@ -512,6 +483,7 @@ func KeepAliveFigures() []OverloadFigure {
 				"turning the explicit file model on, a cache too small for the document (4 KB vs the " +
 				"6 KB default document) pays open-plus-page-read on every request, while any " +
 				"sufficient size serves from the mmap'd cache at a fraction of that.",
+			Metric:   MetricReplyP99,
 			Workload: "constant",
 			Rates:    OverloadRates(),
 			Curves:   []Curve{cache(0), cache(4), cache(64), cache(1024)},
@@ -523,6 +495,7 @@ func KeepAliveFigures() []OverloadFigure {
 			Paper: "Not in the paper. Two-write copy pays the user-space copy twice plus an extra " +
 				"syscall; writev folds header and body into one charge; sendfile skips the " +
 				"user-space copy entirely and charges per page crossed.",
+			Metric:   MetricReplyP99,
 			Workload: "constant",
 			Rates:    OverloadRates(),
 			Curves:   []Curve{write(httpcore.WriteCopy), write(httpcore.WriteWritev), write(httpcore.WriteSendfile)},
@@ -530,28 +503,10 @@ func KeepAliveFigures() []OverloadFigure {
 	}
 }
 
-// OverloadFigureByID looks an overload, keep-alive or scale figure up by
-// identifier ("fig19") or bare number ("19").
-func OverloadFigureByID(id string) (OverloadFigure, bool) {
-	id = strings.ToLower(strings.TrimSpace(id))
-	families := [][]OverloadFigure{
-		OverloadFigures(), KeepAliveFigures(), ScaleFigures(), MassiveScaleFigures(),
-		MostlyIdleFigures(), ChaosFigures(),
-	}
-	for _, fam := range families {
-		for _, f := range fam {
-			if f.ID == id || fmt.Sprintf("%d", f.Number) == id {
-				return f, true
-			}
-		}
-	}
-	return OverloadFigure{}, false
-}
-
-// WithWorkerCounts rebuilds the figure's curves for the given worker counts,
-// honoring the tools' -workers flag on the prefork overload figure; figures
-// without prefork curves (and empty counts) pass through unchanged.
-func (f OverloadFigure) WithWorkerCounts(counts []int) OverloadFigure {
+// withWorkerCounts rebuilds the figure's curves for the given worker counts,
+// honoring SweepOptions.Workers (-workers) on the prefork overload figure;
+// figures without prefork curves (and empty counts) pass through unchanged.
+func (f Figure) withWorkerCounts(counts []int) Figure {
 	if len(counts) == 0 {
 		return f
 	}
@@ -575,194 +530,4 @@ func (f OverloadFigure) WithWorkerCounts(counts []int) OverloadFigure {
 	}
 	f.Curves = curves
 	return f
-}
-
-// OverloadFigureResult holds one regenerated overload figure: two series per
-// curve (reply-rate average and p99 latency) plus the raw runs.
-type OverloadFigureResult struct {
-	Figure OverloadFigure
-	Series []metrics.Series
-	Runs   []RunResult
-}
-
-// RunOverloadFigure regenerates one overload figure. SweepOptions are honored
-// as for RunFigure; opts.Workload, when non-empty, overrides the figure's own
-// workload (re-running fig19's curves under another scenario).
-func RunOverloadFigure(fig OverloadFigure, opts SweepOptions) OverloadFigureResult {
-	rates := fig.Rates
-	if len(opts.Rates) > 0 {
-		rates = opts.Rates
-	}
-	connections := opts.Connections
-	if connections <= 0 {
-		connections = fig.Connections
-	}
-	if connections <= 0 {
-		connections = 4000
-	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	workload := fig.Workload
-	if opts.Workload != "" {
-		workload = opts.Workload
-	}
-	out := OverloadFigureResult{Figure: fig}
-	for _, curve := range fig.Curves {
-		if opts.Backend != "" {
-			kind, err := RetargetKind(curve.Server, opts.Backend)
-			if err != nil {
-				panic(err)
-			}
-			if kind != curve.Server {
-				curve.Label += " [" + string(kind) + "]"
-				curve.Server = kind
-			}
-		}
-		// A churn axis (fig39) or fault axis (figs 40-43) sweeps its knob at
-		// the figure's single fixed offered rate; otherwise the x axis is the
-		// offered rate.
-		xlabel, xs := "request rate", rates
-		if len(fig.Churn) > 0 {
-			xlabel, xs = "churn rate", fig.Churn
-		}
-		if fig.Fault != "" {
-			xlabel, xs = FaultAxisLabel(fig.Fault), fig.FaultValues
-		}
-		reply := metrics.Series{Label: curve.Label + " (reply avg)", XLabel: xlabel, YLabel: MetricReplyRate.String()}
-		p99 := metrics.Series{Label: curve.Label + " (p99 ms)", XLabel: xlabel, YLabel: "p99 connection time (ms)"}
-		for _, x := range xs {
-			spec := RunSpec{
-				Server:      curve.Server,
-				RequestRate: x,
-				Inactive:    curve.Inactive,
-				Connections: connections,
-				Seed:        seed,
-				Workload:    workload,
-				Threads:     opts.Threads,
-				FanoutSize:  opts.Fanout,
-				ChurnRate:   opts.ChurnRate,
-				Faults:      opts.Faults,
-			}
-			spec.Client.Retry = opts.Retry
-			if len(fig.Churn) > 0 {
-				spec.RequestRate = rates[0]
-				spec.ChurnRate = x
-			}
-			if fig.Fault != "" {
-				spec.RequestRate = rates[0]
-				if fig.Faults.Enabled() {
-					spec.Faults = fig.Faults
-				}
-				applyFaultAxis(&spec, fig.Fault, x)
-			}
-			if fig.PortSpace > 0 {
-				netCfg := netsim.DefaultConfig()
-				netCfg.PortSpace = fig.PortSpace
-				spec.Network = &netCfg
-			}
-			applyHTTPSweep(&spec, curve, opts)
-			res := Run(spec)
-			out.Runs = append(out.Runs, res)
-			reply.Append(x, res.Load.ReplyRate.Mean)
-			p99.Append(x, res.Latency.P99)
-			if opts.Progress != nil {
-				opts.Progress("%s [%s] %s", fig.ID, workload, Describe(res))
-			}
-		}
-		out.Series = append(out.Series, reply, p99)
-	}
-	return out
-}
-
-// FormatOverload renders an overload figure result as an aligned text table,
-// the shape Format gives the paper's figures.
-func FormatOverload(res OverloadFigureResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "FIGURE %d (%s): %s\n", res.Figure.Number, res.Figure.ID, res.Figure.Title)
-	fmt.Fprintf(&b, "paper: %s\n", res.Figure.Paper)
-	workload := res.Figure.Workload
-	if len(res.Runs) > 0 && res.Runs[0].Spec.Workload != "" {
-		workload = res.Runs[0].Spec.Workload
-	}
-	fmt.Fprintf(&b, "metric: reply rate and p99 connection time vs offered load, workload %s\n", workload)
-	if res.Figure.Connections > 0 && len(res.Runs) > 0 {
-		fmt.Fprintf(&b, "connections: %d per point\n", res.Runs[0].Spec.Connections)
-	}
-
-	xs := map[float64]bool{}
-	for _, s := range res.Series {
-		for _, x := range s.X {
-			xs[x] = true
-		}
-	}
-	rates := make([]float64, 0, len(xs))
-	for x := range xs {
-		rates = append(rates, x)
-	}
-	sort.Float64s(rates)
-
-	// Backend retargeting lengthens curve labels; widen every column to the
-	// longest so the header stays over its data.
-	width := 26
-	for _, s := range res.Series {
-		if len(s.Label)+2 > width {
-			width = len(s.Label) + 2
-		}
-	}
-	xname := "rate"
-	if len(res.Figure.Churn) > 0 {
-		xname = "churn"
-	}
-	if res.Figure.Fault != "" {
-		xname = res.Figure.Fault
-	}
-	// Fault-rate axes carry fractional x values (a 0.02 reset rate); keep the
-	// historical whole-number format everywhere else.
-	xfmt := "%-12.0f"
-	for _, rate := range rates {
-		if rate != float64(int64(rate)) {
-			xfmt = "%-12.2f"
-			break
-		}
-	}
-	fmt.Fprintf(&b, "%-12s", xname)
-	for _, s := range res.Series {
-		fmt.Fprintf(&b, "%*s", width, s.Label)
-	}
-	b.WriteString("\n")
-	for _, rate := range rates {
-		fmt.Fprintf(&b, xfmt, rate)
-		for _, s := range res.Series {
-			if y, ok := s.YAt(rate); ok {
-				fmt.Fprintf(&b, "%*.1f", width, y)
-			} else {
-				fmt.Fprintf(&b, "%*s", width, "-")
-			}
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
-// FormatPercentiles renders the per-point latency-percentile table the
-// -percentiles flag appends below a figure: the client-observed connection
-// distribution next to the server-side service distribution for every run.
-func FormatPercentiles(runs []RunResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-18s %6s %6s %10s | %9s %9s %9s %9s %9s | %9s %9s\n",
-		"server", "rate", "load", "workload",
-		"p50 ms", "p90 ms", "p99 ms", "p999 ms", "max ms", "svc p99", "svc p999")
-	for _, r := range runs {
-		wl := r.Spec.Workload
-		if wl == "" {
-			wl = "constant"
-		}
-		fmt.Fprintf(&b, "%-18s %6.0f %6d %10s | %9.2f %9.2f %9.2f %9.2f %9.2f | %9.2f %9.2f\n",
-			r.Spec.Server, r.Spec.RequestRate, r.Spec.Inactive, wl,
-			r.Latency.P50, r.Latency.P90, r.Latency.P99, r.Latency.P999, r.Latency.Max,
-			r.ServiceLatency.P99, r.ServiceLatency.P999)
-	}
-	return b.String()
 }

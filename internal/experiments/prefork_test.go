@@ -143,7 +143,7 @@ func TestShardingPolicyAblation(t *testing.T) {
 }
 
 func TestWorkerFigureDefinitions(t *testing.T) {
-	figs := WorkerFigures()
+	figs := workerFigures()
 	if len(figs) != 2 {
 		t.Fatalf("worker figures = %d, want 2", len(figs))
 	}
@@ -152,21 +152,15 @@ func TestWorkerFigureDefinitions(t *testing.T) {
 			t.Fatalf("incomplete worker figure: %+v", f)
 		}
 	}
-	if _, ok := WorkerFigureByID("fig17"); !ok {
-		t.Fatal("WorkerFigureByID(fig17) failed")
-	}
-	if _, ok := WorkerFigureByID("18"); !ok {
-		t.Fatal("WorkerFigureByID(18) failed")
-	}
-	if _, ok := WorkerFigureByID("fig04"); ok {
-		t.Fatal("WorkerFigureByID(fig04) should fail: it is a rate figure")
+	if e, err := Lookup("fig04"); err != nil || e.Workers != nil {
+		t.Fatalf("Lookup(fig04) = %+v, %v; want a rate figure", e, err)
 	}
 	res := RunWorkerFigure(WorkerFigure{
 		ID: "figtest", Number: 99, Title: "t", Paper: "p",
 		Rate: 1500, Inactive: 1, Workers: []int{1, 2},
 		Curves:          []WorkerCurve{{Label: "c", Mode: prefork.ModeReuseport, Shard: netsim.ShardHash}},
 		PlotUtilization: true,
-	}, WorkerSweepOptions{Connections: 400})
+	}, SweepOptions{Connections: 400})
 	if len(res.Series) != 4 || len(res.Runs) != 2 {
 		t.Fatalf("series=%d runs=%d, want 4 and 2", len(res.Series), len(res.Runs))
 	}

@@ -10,10 +10,7 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/compio"
 	"repro/internal/core"
-	"repro/internal/devpoll"
-	"repro/internal/epoll"
 	"repro/internal/eventlib"
 	"repro/internal/faults"
 	"repro/internal/loadgen"
@@ -56,15 +53,11 @@ func PreforkKind(workers int) ServerKind {
 	return ServerKind(fmt.Sprintf("prefork-%d", workers))
 }
 
-// bulkCapable lists backends able to serve as the hybrid's bulk poller: the
-// mechanisms that keep a kernel-resident interest set the server can maintain
-// concurrently with RT signal activity (§6's requirement for a cheap switch).
+// bulkCapable reports whether the named backend can serve as the hybrid's
+// bulk poller (see eventlib.Backend.Bulk).
 func bulkCapable(name string) bool {
-	switch name {
-	case "devpoll", "epoll", "epoll-et", "compio":
-		return true
-	}
-	return false
+	b, ok := eventlib.Lookup(name)
+	return ok && name != "" && b.Bulk
 }
 
 // ServerKinds lists all selectable servers: the paper's four first, then the
@@ -220,8 +213,8 @@ type RunSpec struct {
 	// Connections is the number of benchmark connections (the paper uses
 	// 35000; the test and bench defaults scale this down, which preserves the
 	// curve shapes because the run is long enough to reach steady state).
-	// When RequestsPerConn > 1 it counts offered requests instead: the run
-	// launches Connections/RequestsPerConn persistent connections, so the
+	// When Client.RequestsPerConn > 1 it counts offered requests instead: the
+	// run launches Connections/RequestsPerConn persistent connections, so the
 	// total work and issue window match an HTTP/1.0 run of the same spec.
 	Connections int
 	Seed        int64
@@ -234,17 +227,10 @@ type RunSpec struct {
 	// pipelining budget, response cache, write path) for every family; the
 	// zero value is the historical one-request HTTP/1.0 server.
 	HTTP httpcore.Options
-	// RequestsPerConn makes each client connection issue N HTTP/1.1 requests
-	// (final one Connection: close); 0 or 1 keeps the HTTP/1.0 client.
-	// RequestRate remains the request rate — connections launch at rate/N.
-	RequestsPerConn int
-	// PipelineDepth is how many requests the keep-alive client keeps
-	// outstanding; 0 or 1 is the serial request-response client.
-	PipelineDepth int
-	// Client carries the collapsed per-client knobs straight through to
-	// loadgen.Config.Profile; non-zero profile fields win over the flat
-	// RequestsPerConn/PipelineDepth fields above (which remain for
-	// compatibility with the figure definitions).
+	// Client holds the per-client knobs (requests per connection, pipeline
+	// depth, patience, RTTs, jitter, retry). Its non-zero fields are laid over
+	// loadgen.DefaultConfig's profile and the scaled-run timeout; the zero
+	// value is the paper's one-request HTTP/1.0 client.
 	Client loadgen.ClientProfile
 
 	// FanoutSize overrides the push workload's per-tick fan-out (push-* server
@@ -266,13 +252,11 @@ type RunSpec struct {
 	Cost *simkernel.CostModel
 	// Network optionally overrides the testbed configuration.
 	Network *netsim.Config
-	// DevPollOptions overrides /dev/poll options for thttpd-devpoll and hybrid.
-	DevPollOptions *devpoll.Options
-	// EpollOptions overrides epoll options for the epoll server kinds.
-	EpollOptions *epoll.Options
-	// CompioOptions overrides completion-ring options for the compio server
-	// kinds (SQ batch size and registered-buffer ablations).
-	CompioOptions *compio.Options
+	// OpenPoller, when non-nil, replaces the registry's poller for the
+	// kind's backend: thttpd's event poller or the hybrid's bulk poller. The
+	// ablations build option variants (/dev/poll without hints, compio with
+	// another SQ size) this way; the override is read as level-shaped.
+	OpenPoller func(*simkernel.Kernel, *simkernel.Proc) core.Poller
 	// PhhttpdBatchDequeue enables the sigtimedwait4 extension in phhttpd.
 	PhhttpdBatchDequeue bool
 	// HybridConfig optionally overrides the hybrid server configuration.
@@ -280,9 +264,6 @@ type RunSpec struct {
 	// PreforkMode selects the prefork accept-distribution architecture
 	// (reuseport by default; handoff for the single-acceptor comparison).
 	PreforkMode prefork.Mode
-	// PreforkConfig optionally overrides the prefork configuration wholesale;
-	// Workers and Backend still come from the ServerKind.
-	PreforkConfig *prefork.Config
 	// RTQueueLimit overrides the RT signal queue limit (phhttpd, hybrid).
 	RTQueueLimit int
 
@@ -496,14 +477,8 @@ func buildServer(spec RunSpec, wl loadgen.Workload, rk resolvedKind, k *simkerne
 		return dhtRun{dhtnode.New(k, net, cfg)}
 	case "prefork":
 		cfg := prefork.DefaultConfig(rk.workers)
-		if spec.PreforkConfig != nil {
-			cfg = *spec.PreforkConfig
-		}
-		cfg.Workers = rk.workers
 		cfg.Backend = rk.backend
-		if spec.PreforkConfig == nil {
-			cfg.Mode = spec.PreforkMode
-		}
+		cfg.Mode = spec.PreforkMode
 		applyHTTP(&cfg.HTTP, spec)
 		return preforkRun{prefork.New(k, net, cfg)}
 	case "phhttpd":
@@ -519,25 +494,12 @@ func buildServer(spec RunSpec, wl loadgen.Workload, rk resolvedKind, k *simkerne
 		if spec.HybridConfig != nil {
 			cfg = *spec.HybridConfig
 		}
-		if spec.DevPollOptions != nil {
-			cfg.DevPoll = *spec.DevPollOptions
-		}
-		switch {
-		case rk.backend == "" || rk.backend == "devpoll":
-			// /dev/poll bulk poller from cfg.DevPoll.
-		case spec.EpollOptions != nil && strings.HasPrefix(rk.backend, "epoll"):
-			opts := *spec.EpollOptions
-			opts.EdgeTriggered = rk.backend == "epoll-et"
-			cfg.Bulk = func(k *simkernel.Kernel, p *simkernel.Proc) core.Poller {
-				return epoll.Open(k, p, opts)
-			}
-		case spec.CompioOptions != nil && rk.backend == "compio":
-			opts := *spec.CompioOptions
-			cfg.Bulk = func(k *simkernel.Kernel, p *simkernel.Proc) core.Poller {
-				return compio.Open(k, p, opts)
-			}
-		default:
+		if rk.backend != "devpoll" {
+			// Plain hybrid keeps its own /dev/poll bulk poller (cfg.DevPoll).
 			cfg.BulkBackend = rk.backend
+		}
+		if spec.OpenPoller != nil {
+			cfg.Bulk = spec.OpenPoller
 		}
 		if spec.RTQueueLimit > 0 {
 			cfg.QueueLimit = spec.RTQueueLimit
@@ -547,24 +509,7 @@ func buildServer(spec RunSpec, wl loadgen.Workload, rk resolvedKind, k *simkerne
 	default: // thttpd
 		cfg := thttpd.DefaultConfig()
 		cfg.Backend = rk.backend
-		switch {
-		case spec.DevPollOptions != nil && rk.backend == "devpoll":
-			opts := *spec.DevPollOptions
-			cfg.OpenPoller = func(k *simkernel.Kernel, p *simkernel.Proc) core.Poller {
-				return devpoll.Open(k, p, opts)
-			}
-		case spec.EpollOptions != nil && strings.HasPrefix(rk.backend, "epoll"):
-			opts := *spec.EpollOptions
-			opts.EdgeTriggered = rk.backend == "epoll-et"
-			cfg.OpenPoller = func(k *simkernel.Kernel, p *simkernel.Proc) core.Poller {
-				return epoll.Open(k, p, opts)
-			}
-		case spec.CompioOptions != nil && rk.backend == "compio":
-			opts := *spec.CompioOptions
-			cfg.OpenPoller = func(k *simkernel.Kernel, p *simkernel.Proc) core.Poller {
-				return compio.Open(k, p, opts)
-			}
-		}
+		cfg.OpenPoller = spec.OpenPoller
 		applyHTTP(&cfg.HTTP, spec)
 		return thttpdRun{thttpd.New(k, net, cfg)}
 	}
@@ -572,7 +517,7 @@ func buildServer(spec RunSpec, wl loadgen.Workload, rk resolvedKind, k *simkerne
 
 // applyHTTP copies the spec's persistent-connection options into a server
 // configuration. A zero spec.HTTP leaves the configuration's own value alone,
-// so wholesale config overrides (PreforkConfig, HybridConfig) keep theirs.
+// so a wholesale HybridConfig override keeps its own.
 func applyHTTP(dst *httpcore.Options, spec RunSpec) {
 	if spec.HTTP != (httpcore.Options{}) {
 		*dst = spec.HTTP
@@ -622,13 +567,9 @@ func RunE(spec RunSpec) (RunResult, error) {
 	// total work and issue window all match the HTTP/1.0 curve of the same
 	// figure — the comparison isolates the per-connection costs (accept,
 	// interest-set registration, teardown) that persistence amortises. The
-	// profile's request count wins over the flat field, mirroring loadgen's
-	// merge; the non-request families have no request budget to normalise.
+	// non-request families have no request budget to normalise.
 	requests := spec.Connections
-	rpc := spec.RequestsPerConn
-	if spec.Client.RequestsPerConn > 0 {
-		rpc = spec.Client.RequestsPerConn
-	}
+	rpc := spec.Client.RequestsPerConn
 	if workload.Kind == loadgen.KindRequest && rpc > 1 {
 		spec.Connections = (spec.Connections + rpc - 1) / rpc
 	}
@@ -650,37 +591,12 @@ func RunE(spec RunSpec) (RunResult, error) {
 		netCfg.ListenBacklog = spec.Connections
 	}
 
-	lcfg := loadgen.DefaultConfig(spec.RequestRate, spec.Inactive)
-	lcfg.Connections = spec.Connections
-	lcfg.Seed = spec.Seed
-	lcfg.Workload = workload
-	lcfg.RequestsPerConn = spec.RequestsPerConn
-	lcfg.PipelineDepth = spec.PipelineDepth
-	lcfg.Profile = spec.Client
 	// The work window is how long the run's traffic takes to offer: the issue
 	// window for the request family, the member ramp plus the delivery budget
 	// for push, the join window plus one peer's ping lifetime for churn. It
 	// paces the sampling interval and bounds the virtual-time safety net.
 	work := workWindow(spec, workload, requests)
-	// Scaled-down runs (fewer than the paper's 35000 connections) shrink the
-	// sampling interval and the client timeout proportionally, so that the
-	// ratio of queue-buildup time to client patience — which is what turns an
-	// overloaded server into the paper's error percentages — is preserved.
-	if requests < 20000 {
-		si := work / 8
-		if si < 500*core.Millisecond {
-			si = 500 * core.Millisecond
-		}
-		if si > 5*core.Second {
-			si = 5 * core.Second
-		}
-		lcfg.SampleInterval = si
-		to := core.Duration(float64(5*core.Second) * float64(requests) / 35000.0)
-		if to < core.Second {
-			to = core.Second
-		}
-		lcfg.Timeout = to
-	}
+	lcfg := loadConfig(spec, workload, requests, work)
 
 	threads := parallelThreads(spec, rk, netCfg, lcfg)
 	if threads > 1 {
@@ -738,6 +654,56 @@ func RunE(spec RunSpec) (RunResult, error) {
 	res.Latency = res.Load.Latency
 	srv.fill(&res)
 	return res, nil
+}
+
+// loadConfig builds a run's generator configuration: DefaultConfig, scaled
+// for runs smaller than the paper's, with the non-zero fields of spec.Client
+// laid over its client profile. Scaled-down runs (fewer than the paper's
+// 35000 connections) shrink the sampling interval and the client timeout
+// proportionally, so that the ratio of queue-buildup time to client patience
+// — which is what turns an overloaded server into the paper's error
+// percentages — is preserved; a caller's Client.Timeout still wins.
+func loadConfig(spec RunSpec, wl loadgen.Workload, requests int, work core.Duration) loadgen.Config {
+	lcfg := loadgen.DefaultConfig(spec.RequestRate, spec.Inactive)
+	lcfg.Connections = spec.Connections
+	lcfg.Seed = spec.Seed
+	lcfg.Workload = wl
+	p, c := &lcfg.Profile, spec.Client
+	if requests < 20000 {
+		si := work / 8
+		if si < 500*core.Millisecond {
+			si = 500 * core.Millisecond
+		}
+		if si > 5*core.Second {
+			si = 5 * core.Second
+		}
+		lcfg.SampleInterval = si
+		to := core.Duration(float64(5*core.Second) * float64(requests) / 35000.0)
+		if to < core.Second {
+			to = core.Second
+		}
+		p.Timeout = to
+	}
+	if c.RequestsPerConn > 0 {
+		p.RequestsPerConn = c.RequestsPerConn
+	}
+	if c.PipelineDepth > 0 {
+		p.PipelineDepth = c.PipelineDepth
+	}
+	if c.Timeout > 0 {
+		p.Timeout = c.Timeout
+	}
+	if c.ActiveRTT > 0 {
+		p.ActiveRTT = c.ActiveRTT
+	}
+	if c.InactiveRTT > 0 {
+		p.InactiveRTT = c.InactiveRTT
+	}
+	if c.Jitter > 0 {
+		p.Jitter = c.Jitter
+	}
+	p.Retry, p.RetryMax, p.RetryBase = c.Retry, c.RetryMax, c.RetryBase
+	return lcfg
 }
 
 // checkFamilyPairing rejects a server kind driven by the wrong traffic
@@ -807,8 +773,8 @@ func minRTT(netCfg netsim.Config, lcfg loadgen.Config) core.Duration {
 			min = d
 		}
 	}
-	consider(lcfg.ActiveRTT)
-	consider(lcfg.InactiveRTT)
+	consider(lcfg.Profile.ActiveRTT)
+	consider(lcfg.Profile.InactiveRTT)
 	for _, band := range lcfg.Workload.RTTMix {
 		consider(band.RTT)
 	}
@@ -827,14 +793,8 @@ func parallelThreads(spec RunSpec, rk resolvedKind, netCfg netsim.Config, lcfg l
 	if netCfg.Shard == netsim.ShardRoundRobin {
 		return 1
 	}
-	if rk.family == "prefork" {
-		mode := spec.PreforkMode
-		if spec.PreforkConfig != nil {
-			mode = spec.PreforkConfig.Mode
-		}
-		if mode == prefork.ModeHandoff {
-			return 1
-		}
+	if rk.family == "prefork" && spec.PreforkMode == prefork.ModeHandoff {
+		return 1
 	}
 	tw := netCfg.TimeWait
 	if tw <= 0 {

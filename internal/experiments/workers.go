@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -44,8 +43,7 @@ func DefaultWorkerCounts() []int { return []int{1, 2, 4, 8} }
 
 // ParseWorkerCounts parses a comma-separated worker-count list ("1,2,4,8")
 // against the same bounds resolveKind enforces for prefork kinds. An empty
-// string returns nil (use the figure's default sweep). Both CLI tools share
-// this so their -workers flags cannot drift apart.
+// string returns nil (use the figure's default sweep).
 func ParseWorkerCounts(s string) ([]int, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, nil
@@ -61,10 +59,10 @@ func ParseWorkerCounts(s string) ([]int, error) {
 	return out, nil
 }
 
-// WorkerFigures returns the figure-17 family: reply-rate and utilisation
+// workerFigures returns the figure-17 family: reply-rate and utilisation
 // scaling with worker count, and the accept-sharding ablation. Numbers
 // continue after the extension figures so identifiers stay unambiguous.
-func WorkerFigures() []WorkerFigure {
+func workerFigures() []WorkerFigure {
 	return []WorkerFigure{
 		{
 			ID:     "fig17",
@@ -98,36 +96,6 @@ func WorkerFigures() []WorkerFigure {
 	}
 }
 
-// WorkerFigureByID looks a worker-scaling figure up by identifier ("fig17")
-// or bare number ("17").
-func WorkerFigureByID(id string) (WorkerFigure, bool) {
-	id = strings.ToLower(strings.TrimSpace(id))
-	for _, f := range WorkerFigures() {
-		if f.ID == id || fmt.Sprintf("%d", f.Number) == id {
-			return f, true
-		}
-	}
-	return WorkerFigure{}, false
-}
-
-// WorkerSweepOptions control how a worker-scaling figure is regenerated.
-type WorkerSweepOptions struct {
-	// Connections per point; zero selects 4000.
-	Connections int
-	// Workers overrides the figure's worker-count sweep.
-	Workers []int
-	// Backend, when non-empty, re-parameterises every curve's per-worker
-	// event backend. The name must be registry-valid.
-	Backend string
-	// Workload, when non-empty, runs every point under the named loadgen
-	// workload scenario; the name must be valid (loadgen.LookupWorkload).
-	Workload string
-	// Seed for the load generator.
-	Seed int64
-	// Progress, when non-nil, receives a line per completed point.
-	Progress func(format string, args ...interface{})
-}
-
 // WorkerFigureResult holds one regenerated worker-scaling figure.
 type WorkerFigureResult struct {
 	Figure WorkerFigure
@@ -137,18 +105,12 @@ type WorkerFigureResult struct {
 
 // RunWorkerFigure regenerates one worker-scaling figure by sweeping the
 // worker count for each of its curves at the figure's fixed offered rate.
-func RunWorkerFigure(fig WorkerFigure, opts WorkerSweepOptions) WorkerFigureResult {
+// opts.Workers overrides the figure's worker counts and opts.Backend every
+// curve's per-worker backend; the rest of opts applies as for RunFigure.
+func RunWorkerFigure(fig WorkerFigure, opts SweepOptions) WorkerFigureResult {
 	workers := fig.Workers
 	if len(opts.Workers) > 0 {
 		workers = opts.Workers
-	}
-	connections := opts.Connections
-	if connections <= 0 {
-		connections = 4000
-	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
 	}
 	out := WorkerFigureResult{Figure: fig}
 	for _, curve := range fig.Curves {
@@ -160,39 +122,27 @@ func RunWorkerFigure(fig WorkerFigure, opts WorkerSweepOptions) WorkerFigureResu
 		if backend != "" && backend != "epoll" {
 			label += " [" + backend + "]"
 		}
-		avg := metrics.Series{Label: label + " (avg)", XLabel: "workers", YLabel: MetricReplyRate.String()}
-		min := metrics.Series{Label: label + " (min)", XLabel: "workers", YLabel: MetricReplyRate.String()}
-		max := metrics.Series{Label: label + " (max)", XLabel: "workers", YLabel: MetricReplyRate.String()}
+		base := opts.pointSpec(Curve{Inactive: fig.Inactive}, 0, opts.Workload)
+		base.RequestRate = fig.Rate
+		base.PreforkMode = curve.Mode
+		netCfg := netsim.DefaultConfig()
+		netCfg.Shard = curve.Shard
+		base.Network = &netCfg
+		ss := MetricReplyRate.series(label, "workers")
 		util := metrics.Series{Label: label + " (cpu%)", XLabel: "workers", YLabel: "mean per-CPU utilisation (percent)"}
 		for _, n := range workers {
-			kind := PreforkKind(n)
-			if backend != "" && backend != "epoll" {
-				kind = ServerKind(fmt.Sprintf("prefork-%d-%s", n, backend))
-			}
-			netCfg := netsim.DefaultConfig()
-			netCfg.Shard = curve.Shard
-			spec := RunSpec{
-				Server:      kind,
-				RequestRate: fig.Rate,
-				Inactive:    fig.Inactive,
-				Connections: connections,
-				Seed:        seed,
-				Workload:    opts.Workload,
-				Network:     &netCfg,
-				PreforkMode: curve.Mode,
-			}
+			spec := base
+			spec.Server = retarget(PreforkKind(n), backend)
 			res := Run(spec)
 			out.Runs = append(out.Runs, res)
 			x := float64(n)
-			avg.Append(x, res.Load.ReplyRate.Mean)
-			min.Append(x, res.Load.ReplyRate.Min)
-			max.Append(x, res.Load.ReplyRate.Max)
+			MetricReplyRate.observe(ss, x, res)
 			util.Append(x, 100*res.CPUUtilization)
 			if opts.Progress != nil {
 				opts.Progress("%s workers=%d %s", fig.ID, n, Describe(res))
 			}
 		}
-		out.Series = append(out.Series, avg, min, max)
+		out.Series = append(out.Series, ss...)
 		if fig.PlotUtilization {
 			out.Series = append(out.Series, util)
 		}
@@ -203,39 +153,10 @@ func RunWorkerFigure(fig WorkerFigure, opts WorkerSweepOptions) WorkerFigureResu
 // FormatWorkers renders a worker-scaling figure result as an aligned text
 // table, the shape Format gives the rate figures.
 func FormatWorkers(res WorkerFigureResult) string {
+	fig := res.Figure
 	var b strings.Builder
-	fmt.Fprintf(&b, "FIGURE %d (%s): %s\n", res.Figure.Number, res.Figure.ID, res.Figure.Title)
-	fmt.Fprintf(&b, "paper: %s\n", res.Figure.Paper)
-	fmt.Fprintf(&b, "metric: %s vs workers at %.0f req/s, %d inactive\n",
-		MetricReplyRate, res.Figure.Rate, res.Figure.Inactive)
-
-	xs := map[float64]bool{}
-	for _, s := range res.Series {
-		for _, x := range s.X {
-			xs[x] = true
-		}
-	}
-	counts := make([]float64, 0, len(xs))
-	for x := range xs {
-		counts = append(counts, x)
-	}
-	sort.Float64s(counts)
-
-	fmt.Fprintf(&b, "%-12s", "workers")
-	for _, s := range res.Series {
-		fmt.Fprintf(&b, "%28s", s.Label)
-	}
-	b.WriteString("\n")
-	for _, n := range counts {
-		fmt.Fprintf(&b, "%-12.0f", n)
-		for _, s := range res.Series {
-			if y, ok := s.YAt(n); ok {
-				fmt.Fprintf(&b, "%28.1f", y)
-			} else {
-				fmt.Fprintf(&b, "%28s", "-")
-			}
-		}
-		b.WriteString("\n")
-	}
+	fmt.Fprintf(&b, "FIGURE %d (%s): %s\npaper: %s\n", fig.Number, fig.ID, fig.Title, fig.Paper)
+	fmt.Fprintf(&b, "metric: %s vs workers at %.0f req/s, %d inactive\n", MetricReplyRate, fig.Rate, fig.Inactive)
+	writeTable(&b, "workers", 28, res.Series)
 	return b.String()
 }

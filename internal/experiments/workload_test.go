@@ -136,7 +136,7 @@ func TestStalledReadersHoldDescriptors(t *testing.T) {
 // run of one figure produces a formatted table with both series per curve.
 func TestOverloadFigureDefinitionsAndRun(t *testing.T) {
 	seen := map[string]bool{}
-	for _, f := range OverloadFigures() {
+	for _, f := range overloadFigures() {
 		if seen[f.ID] {
 			t.Fatalf("duplicate overload figure id %s", f.ID)
 		}
@@ -148,23 +148,19 @@ func TestOverloadFigureDefinitionsAndRun(t *testing.T) {
 			t.Fatalf("%s underspecified: %+v", f.ID, f)
 		}
 	}
-	if _, ok := OverloadFigureByID("19"); !ok {
-		t.Fatal("fig19 not found by number")
-	}
-
-	fig, _ := OverloadFigureByID("fig20")
+	fig := mustFigure(t, "fig20")
 	fig.Rates = []float64{500, 900}
 	fig.Curves = fig.Curves[:2]
-	res := RunOverloadFigure(fig, SweepOptions{Connections: 600, Seed: 1})
+	res := RunFigure(fig, SweepOptions{Connections: 600, Seed: 1})
 	if len(res.Series) != 4 { // reply + p99 per curve
 		t.Fatalf("series = %d, want 4", len(res.Series))
 	}
 	if len(res.Runs) != 4 {
 		t.Fatalf("runs = %d, want 4", len(res.Runs))
 	}
-	out := FormatOverload(res)
+	out := Format(res)
 	if !strings.Contains(out, "FIGURE 20") || !strings.Contains(out, "p99") {
-		t.Fatalf("FormatOverload output malformed:\n%s", out)
+		t.Fatalf("Format output malformed:\n%s", out)
 	}
 	pt := FormatPercentiles(res.Runs)
 	if !strings.Contains(pt, "p999 ms") || len(strings.Split(strings.TrimSpace(pt), "\n")) != 5 {

@@ -118,9 +118,6 @@ type Engine struct {
 	cur  int
 }
 
-// Idle reports whether no Wait is in flight.
-func (e *Engine) Idle() bool { return e.state == stateIdle }
-
 // Wait starts one blocking wait: at most max events, blocking for at most
 // timeout (core.Forever blocks indefinitely, 0 never blocks). The handler is
 // invoked exactly once, at the virtual time the underlying call would have

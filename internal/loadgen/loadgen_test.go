@@ -29,7 +29,7 @@ func TestDefaultConfig(t *testing.T) {
 	if cfg.RequestRate != 700 || cfg.InactiveConnections != 251 || cfg.Connections != 35000 {
 		t.Fatalf("cfg = %+v", cfg)
 	}
-	if cfg.DocumentSize != 6*1024 || cfg.Timeout != 5*core.Second {
+	if cfg.DocumentSize != 6*1024 || cfg.Profile.Timeout != 5*core.Second {
 		t.Fatalf("cfg = %+v", cfg)
 	}
 }
@@ -161,7 +161,7 @@ func TestClientTimeoutAgainstStalledServer(t *testing.T) {
 
 	cfg := DefaultConfig(200, 0)
 	cfg.Connections = 30
-	cfg.Timeout = 2 * core.Second
+	cfg.Profile.Timeout = 2 * core.Second
 	gen := New(k, n, cfg)
 	gen.OnDone(func(Result) { k.Sim.Stop() })
 	gen.Start(0)
@@ -190,7 +190,7 @@ func TestConservationInvariant(t *testing.T) {
 	lcfg := DefaultConfig(900, 20)
 	lcfg.Connections = 500
 	lcfg.SampleInterval = 500 * core.Millisecond
-	lcfg.Timeout = core.Second
+	lcfg.Profile.Timeout = core.Second
 	gen := New(k, n, lcfg)
 	gen.OnDone(func(Result) { s.Stop(); k.Sim.Stop() })
 	gen.Start(0)
@@ -215,11 +215,11 @@ func TestConservationInvariant(t *testing.T) {
 func TestConfigSanitisation(t *testing.T) {
 	k := simkernel.NewKernel(nil)
 	n := netsim.New(k, netsim.DefaultConfig())
-	gen := New(k, n, Config{Jitter: 5, RequestRate: -1, Connections: -1})
-	if gen.cfg.Jitter > 1 || gen.cfg.RequestRate <= 0 || gen.cfg.Connections <= 0 {
+	gen := New(k, n, Config{Profile: ClientProfile{Jitter: 5}, RequestRate: -1, Connections: -1})
+	if gen.cfg.Profile.Jitter > 1 || gen.cfg.RequestRate <= 0 || gen.cfg.Connections <= 0 {
 		t.Fatalf("config not sanitised: %+v", gen.cfg)
 	}
-	if gen.cfg.DocumentPath == "" || gen.cfg.Timeout <= 0 || gen.cfg.SampleInterval <= 0 {
+	if gen.cfg.DocumentPath == "" || gen.cfg.Profile.Timeout <= 0 || gen.cfg.SampleInterval <= 0 {
 		t.Fatalf("config not defaulted: %+v", gen.cfg)
 	}
 	// Start twice is harmless.

@@ -1,7 +1,6 @@
 package loadgen
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -120,7 +119,7 @@ func TestDHTPeerRejoinsAfterSessionExpiry(t *testing.T) {
 
 	cfg := DefaultConfig(200, 0) // quota = 2 pongs per peer
 	cfg.Connections = 3
-	cfg.Timeout = core.Second
+	cfg.Profile.Timeout = core.Second
 	cfg.Workload = wl
 	gen := New(k, n, cfg)
 
@@ -145,67 +144,20 @@ func TestDHTPeerRejoinsAfterSessionExpiry(t *testing.T) {
 	}
 }
 
-// TestClientProfileEquivalence pins the API collapse: a run configured
-// through the deprecated flat fields and one configured through ClientProfile
-// produce byte-identical results.
-func TestClientProfileEquivalence(t *testing.T) {
-	run := func(cfg Config) Result {
-		k, n, s := testbed(t)
-		gen := New(k, n, cfg)
-		var final Result
-		gen.OnDone(func(r Result) { final = r; s.Stop(); k.Sim.Stop() })
-		gen.Start(0)
-		k.Sim.RunUntil(core.Time(60 * core.Second))
-		if !gen.Done() {
-			t.Fatalf("run never finished: %+v", gen.Result())
-		}
-		return final
-	}
-
-	legacy := DefaultConfig(400, 0)
-	legacy.Connections = 200
-	legacy.SampleInterval = 200 * core.Millisecond
-	legacy.RequestsPerConn = 4
-	legacy.PipelineDepth = 2
-	legacy.Timeout = 2 * core.Second
-	legacy.ActiveRTT = core.Millisecond
-	legacy.InactiveRTT = 50 * core.Millisecond
-	legacy.Jitter = 0.3
-
-	profiled := DefaultConfig(400, 0)
-	profiled.Connections = 200
-	profiled.SampleInterval = 200 * core.Millisecond
-	profiled.Profile = ClientProfile{
-		RequestsPerConn: 4,
-		PipelineDepth:   2,
-		Timeout:         2 * core.Second,
-		ActiveRTT:       core.Millisecond,
-		InactiveRTT:     50 * core.Millisecond,
-		Jitter:          0.3,
-	}
-
-	a, b := run(legacy), run(profiled)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("profile run diverged from legacy run:\n%+v\nvs\n%+v", a, b)
-	}
-}
-
-// TestProfileNormalisation pins that New mirrors the merged knobs into both
-// views of the configuration.
+// TestProfileNormalisation pins that New keeps the caller's profile knobs and
+// the DefaultConfig ones it did not touch, and fills the remaining defaults.
 func TestProfileNormalisation(t *testing.T) {
 	k := simkernel.NewKernel(nil)
 	n := netsim.New(k, netsim.DefaultConfig())
 	cfg := DefaultConfig(100, 0)
-	cfg.Profile = ClientProfile{RequestsPerConn: 3, Timeout: 7 * core.Second}
+	cfg.Profile.RequestsPerConn = 3
+	cfg.Profile.Timeout = 7 * core.Second
 	g := New(k, n, cfg)
-	got := g.cfg
+	got := g.cfg.Profile
 	if got.RequestsPerConn != 3 || got.Timeout != 7*core.Second {
-		t.Fatalf("legacy view not updated: %+v", got)
+		t.Fatalf("profile knobs lost: %+v", got)
 	}
-	if got.Profile.RequestsPerConn != 3 || got.Profile.Timeout != 7*core.Second {
-		t.Fatalf("profile view not mirrored: %+v", got.Profile)
-	}
-	if got.Profile.PipelineDepth != 1 || got.Profile.InactiveRTT != 100*core.Millisecond || got.Profile.Jitter != 0.2 {
-		t.Fatalf("profile defaults not mirrored: %+v", got.Profile)
+	if got.PipelineDepth != 1 || got.InactiveRTT != 100*core.Millisecond || got.Jitter != 0.2 {
+		t.Fatalf("profile defaults not kept: %+v", got)
 	}
 }

@@ -151,79 +151,6 @@ func (r *RateSampler) Finish(end core.Time) []float64 {
 // Samples returns the closed samples so far.
 func (r *RateSampler) Samples() []float64 { return r.samples }
 
-// Histogram is a fixed-bucket latency histogram (milliseconds) used by the
-// latency experiments and the trace tooling.
-type Histogram struct {
-	BucketWidth float64 // milliseconds per bucket
-	counts      []int64
-	total       int64
-	sum         float64
-}
-
-// NewHistogram creates a histogram with the given bucket width in
-// milliseconds and bucket count; samples beyond the last bucket are clamped
-// into it.
-func NewHistogram(bucketWidthMs float64, buckets int) *Histogram {
-	if bucketWidthMs <= 0 {
-		bucketWidthMs = 1
-	}
-	if buckets <= 0 {
-		buckets = 256
-	}
-	return &Histogram{BucketWidth: bucketWidthMs, counts: make([]int64, buckets)}
-}
-
-// Observe records one latency.
-func (h *Histogram) Observe(d core.Duration) {
-	ms := d.Milliseconds()
-	idx := int(ms / h.BucketWidth)
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.counts) {
-		idx = len(h.counts) - 1
-	}
-	h.counts[idx]++
-	h.total++
-	h.sum += ms
-}
-
-// Count reports the number of observations.
-func (h *Histogram) Count() int64 { return h.total }
-
-// Mean reports the mean latency in milliseconds.
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.sum / float64(h.total)
-}
-
-// Quantile returns the approximate q-th quantile (0..1) in milliseconds.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := int64(math.Ceil(q * float64(h.total)))
-	if target < 1 {
-		target = 1
-	}
-	var seen int64
-	for i, c := range h.counts {
-		seen += c
-		if seen >= target {
-			return (float64(i) + 0.5) * h.BucketWidth
-		}
-	}
-	return float64(len(h.counts)) * h.BucketWidth
-}
-
 // Series is a labelled (x, y) series, one per curve in a figure.
 type Series struct {
 	Label  string
@@ -250,15 +177,4 @@ func (s *Series) YAt(x float64) (float64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// MaxY returns the largest y value (0 for an empty series).
-func (s *Series) MaxY() float64 {
-	max := 0.0
-	for _, y := range s.Y {
-		if y > max {
-			max = y
-		}
-	}
-	return max
 }

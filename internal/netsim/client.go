@@ -109,12 +109,11 @@ type ClientConn struct {
 
 	server *ServerConn
 
-	bytesReceived int
-	recvWindow    int
-	portHeld      bool
-	peerClosed    bool
-	closedLocal   bool
-	stallReads    bool
+	recvWindow  int
+	portHeld    bool
+	peerClosed  bool
+	closedLocal bool
+	stallReads  bool
 
 	// fate is the fault plane's verdict for this connection, fixed at connect
 	// time from the driver-assigned id (thread-count invariant); fateFired
@@ -191,15 +190,8 @@ func (c *ClientConn) Transport() Transport { return Stream }
 // (timeouts, think times) must target it.
 func (c *ClientConn) Q() simkernel.Q { return c.q }
 
-// BytesReceived reports how many response bytes have arrived.
-func (c *ClientConn) BytesReceived() int { return c.bytesReceived }
-
 // RTT returns the connection's round-trip time.
 func (c *ClientConn) RTT() core.Duration { return c.rtt }
-
-// Fate reports the fault plane's verdict for this connection (for tests and
-// the load generator's accounting).
-func (c *ClientConn) Fate() faults.ConnFate { return c.fate }
 
 // synArrive handles the SYN reaching the server host. It executes on the
 // connection's home lane — the lane of the listener the id hashes to.
@@ -357,7 +349,6 @@ func (c *ClientConn) dataArriveClient(t core.Time, n int) {
 	if c.closedLocal {
 		return
 	}
-	c.bytesReceived += n
 	if c.fate == faults.FateResetResponse && !c.fateFired {
 		// Mid-response reset: the first response bytes have arrived, more may
 		// be in flight, and the client slams the connection shut. The server's

@@ -109,9 +109,6 @@ func (s *DgramSock) Q() simkernel.Q { return s.q }
 // Addr returns the bound address.
 func (s *DgramSock) Addr() Addr { return s.addr }
 
-// Queued reports how many datagrams are waiting to be read.
-func (s *DgramSock) Queued() int { return len(s.rcvQ) }
-
 // Poll implements simkernel.File.
 func (s *DgramSock) Poll() core.EventMask {
 	if s.closed {

@@ -371,10 +371,6 @@ func (n *Network) connID() int64 {
 	return n.nextConnID
 }
 
-func (n *Network) tracef(now core.Time, format string, args ...interface{}) {
-	n.K.Tracef(now, "net", format, args...)
-}
-
 // String summarises the configuration, mostly for experiment logs.
 func (c Config) String() string {
 	return fmt.Sprintf("link=%.0fMbit/s rtt=%v backlog=%d ports=%d timewait=%v",

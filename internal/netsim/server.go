@@ -563,9 +563,3 @@ func (a *SockAPI) Close(fd *simkernel.FD) {
 	}
 	a.Net.defer_(a.P, evtSrvClose, conn, 0)
 }
-
-// Fcntl models fcntl() calls such as F_SETSIG/F_SETOWN/O_ASYNC, charging their
-// cost; the RT-signal mechanism calls it when registering descriptors.
-func (a *SockAPI) Fcntl(fd *simkernel.FD) {
-	a.P.ChargeSyscall(a.K.Cost.FcntlSetSig)
-}

@@ -186,9 +186,6 @@ func (s *Server) Stop() { s.base.Stop() }
 // Stats returns the application-level counters.
 func (s *Server) Stats() Stats { return s.stats }
 
-// Members reports the current member count (the interest-set size).
-func (s *Server) Members() int { return len(s.members) }
-
 // OpenConnections reports how many connections the server currently holds.
 func (s *Server) OpenConnections() int {
 	open := 0

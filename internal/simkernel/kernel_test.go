@@ -425,35 +425,3 @@ func TestDriverPollChargesCost(t *testing.T) {
 		t.Fatalf("TotalCharged = %v, want %v", p.TotalCharged, k.Cost.DriverPoll)
 	}
 }
-
-func TestTracers(t *testing.T) {
-	rec := &RecordingTracer{}
-	rec.Trace(core.Time(core.Second), "net", "packet %d", 7)
-	rec.Trace(core.Time(2*core.Second), "cpu", "busy")
-	if len(rec.Records) != 2 {
-		t.Fatalf("Records = %d", len(rec.Records))
-	}
-	if got := rec.ByComponent("net"); len(got) != 1 || got[0].Message != "packet 7" {
-		t.Fatalf("ByComponent = %+v", got)
-	}
-
-	var sb stringBuilder
-	wt := NewWriterTracer(&sb)
-	wt.Filter = func(c string) bool { return c == "keep" }
-	wt.Trace(0, "drop", "x")
-	wt.Trace(0, "keep", "y %d", 1)
-	if wt.Lines != 1 {
-		t.Fatalf("Lines = %d", wt.Lines)
-	}
-	if sb.String() == "" {
-		t.Fatal("nothing written")
-	}
-	NopTracer{}.Trace(0, "x", "y") // must not panic
-}
-
-// stringBuilder is a tiny io.Writer so the test does not need strings.Builder's
-// extra methods.
-type stringBuilder struct{ b []byte }
-
-func (s *stringBuilder) Write(p []byte) (int, error) { s.b = append(s.b, p...); return len(p), nil }
-func (s *stringBuilder) String() string              { return string(s.b) }

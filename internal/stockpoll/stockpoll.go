@@ -17,8 +17,6 @@
 package stockpoll
 
 import (
-	"sort"
-
 	"repro/internal/core"
 	"repro/internal/interest"
 	"repro/internal/simkernel"
@@ -226,12 +224,6 @@ func (pl *Poller) disarm() {
 // SchedWakeup is charged inside it.
 func (pl *Poller) ReadinessChanged(now core.Time, fd *simkernel.FD, mask core.EventMask) {
 	pl.eng.Wake()
-}
-
-// SortEvents orders events by descriptor, which keeps golden outputs stable in
-// tests and examples.
-func SortEvents(events []core.Event) {
-	sort.Slice(events, func(i, j int) bool { return events[i].FD < events[j].FD })
 }
 
 var _ core.Poller = (*Poller)(nil)

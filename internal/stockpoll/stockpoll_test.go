@@ -1,6 +1,7 @@
 package stockpoll
 
 import (
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -72,7 +73,7 @@ func TestWaitReturnsReadyDescriptors(t *testing.T) {
 	if col.Calls != 1 {
 		t.Fatalf("handler calls = %d", col.Calls)
 	}
-	SortEvents(col.Events)
+	sort.Slice(col.Events, func(i, j int) bool { return col.Events[i].FD < col.Events[j].FD })
 	if got := col.FDNums(); len(got) != 2 || got[0] != fdA.Num || got[1] != fdC.Num {
 		t.Fatalf("ready fds = %v", got)
 	}
