@@ -11,7 +11,7 @@ GOVULNCHECK_VERSION ?= v1.1.4
 DETERMINISM_OUT ?= determinism-out
 
 .PHONY: all fmt-check vet build test test-race staticcheck govulncheck \
-	perfbench-test bench-smoke ablation-smoke determinism bench-json \
+	perfbench-test fuzz-smoke bench-smoke ablation-smoke determinism bench-json \
 	bench-gate bench-crosscheck profile ci
 
 all: ci
@@ -55,6 +55,11 @@ govulncheck:
 	else \
 		echo "govulncheck not on PATH; skipping (CI installs golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION))"; \
 	fi
+
+# Ten seconds of native fuzzing of the event queue against its container/heap
+# reference model, on top of the committed corpus that `make test` replays.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzEventQueue -fuzztime 10s ./internal/simkernel
 
 # One fast benchmark iteration per figure family — paper figures, extension
 # figures, the overload/adversarial workloads, the scale family's
@@ -167,4 +172,4 @@ profile:
 		> $(PROFILE_OUT)/fig16.txt
 	@echo "profiles written to $(PROFILE_OUT)/ (cpu.pprof, mem.pprof, mutex.pprof, block.pprof)"
 
-ci: fmt-check vet staticcheck govulncheck build test perfbench-test bench-smoke ablation-smoke determinism
+ci: fmt-check vet staticcheck govulncheck build test perfbench-test fuzz-smoke bench-smoke ablation-smoke determinism

@@ -704,16 +704,22 @@ func (g *Generator) Result() Result {
 	if elapsed := end.Sub(g.started); elapsed > 0 {
 		res.OfferedRate = float64(g.issued) / elapsed.Seconds()
 	}
-	if len(g.latenciesMs) > 0 {
-		res.MedianLatencyMs = metrics.Median(g.latenciesMs)
-		res.MeanLatencyMs = metrics.Summarize(g.latenciesMs).Mean
-		res.P90LatencyMs = metrics.Percentile(g.latenciesMs, 90)
-		sorted := append([]float64(nil), g.latenciesMs...)
-		sort.Float64s(sorted)
-		res.MaxLatencyMs = sorted[len(sorted)-1]
-	}
+	res.summarizeLatencies(append([]float64(nil), g.latenciesMs...))
 	res.Latency = g.hist.Percentiles()
 	return res
+}
+
+// summarizeLatencies sets the mean, median, p90 and max latency from lat,
+// which it sorts in place once, after summing the mean in arrival order.
+func (res *Result) summarizeLatencies(lat []float64) {
+	if len(lat) == 0 {
+		return
+	}
+	res.MeanLatencyMs = metrics.Summarize(lat).Mean
+	sort.Float64s(lat)
+	res.MedianLatencyMs = metrics.PercentileSorted(lat, 50)
+	res.P90LatencyMs = metrics.PercentileSorted(lat, 90)
+	res.MaxLatencyMs = lat[len(lat)-1]
 }
 
 // parallelResult merges the per-lane accumulators into the same summary the
@@ -773,14 +779,7 @@ func (g *Generator) parallelResult() Result {
 	if elapsed := end.Sub(g.started); elapsed > 0 {
 		res.OfferedRate = float64(g.issued) / elapsed.Seconds()
 	}
-	if len(lat) > 0 {
-		res.MedianLatencyMs = metrics.Median(lat)
-		res.MeanLatencyMs = metrics.Summarize(lat).Mean
-		res.P90LatencyMs = metrics.Percentile(lat, 90)
-		sorted := append([]float64(nil), lat...)
-		sort.Float64s(sorted)
-		res.MaxLatencyMs = sorted[len(sorted)-1]
-	}
+	res.summarizeLatencies(lat)
 	res.Latency = hist.Percentiles()
 	return res
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/servers/thttpd"
 	"repro/internal/simkernel"
@@ -31,6 +32,35 @@ func TestDefaultConfig(t *testing.T) {
 	}
 	if cfg.DocumentSize != 6*1024 || cfg.Profile.Timeout != 5*core.Second {
 		t.Fatalf("cfg = %+v", cfg)
+	}
+}
+
+// TestResultLatencySummary pins the one-sort latency summary to the
+// per-statistic definitions, and checks that Result leaves the raw samples in
+// arrival order, so a second call sums the mean identically.
+func TestResultLatencySummary(t *testing.T) {
+	k, n, s := testbed(t)
+	cfg := DefaultConfig(400, 0)
+	cfg.Connections = 200
+	gen := New(k, n, cfg)
+	gen.OnDone(func(Result) { s.Stop(); k.Sim.Stop() })
+	gen.Start(0)
+	k.Sim.RunUntil(core.Time(30 * core.Second))
+
+	raw := append([]float64(nil), gen.latenciesMs...)
+	r := gen.Result()
+	if len(raw) != 200 {
+		t.Fatalf("%d latency samples, want 200", len(raw))
+	}
+	if r.MedianLatencyMs != metrics.Median(raw) || r.P90LatencyMs != metrics.Percentile(raw, 90) ||
+		r.MaxLatencyMs != metrics.Percentile(raw, 100) || r.MeanLatencyMs != metrics.Summarize(raw).Mean {
+		t.Fatalf("summary median %v p90 %v max %v mean %v disagrees with the samples",
+			r.MedianLatencyMs, r.P90LatencyMs, r.MaxLatencyMs, r.MeanLatencyMs)
+	}
+	for i := range raw {
+		if gen.latenciesMs[i] != raw[i] {
+			t.Fatalf("Result reordered the raw latency samples at %d", i)
+		}
 	}
 }
 

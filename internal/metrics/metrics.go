@@ -59,11 +59,17 @@ func (s Summary) String() string {
 // Percentile returns the p-th percentile (0..100) of the samples using
 // nearest-rank interpolation. It returns 0 for an empty slice.
 func Percentile(samples []float64, p float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
 	sorted := append([]float64(nil), samples...)
 	sort.Float64s(sorted)
+	return PercentileSorted(sorted, p)
+}
+
+// PercentileSorted is Percentile over samples already sorted ascending, so a
+// caller taking several percentiles sorts once.
+func PercentileSorted(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
 	if p <= 0 {
 		return sorted[0]
 	}

@@ -154,7 +154,8 @@ func TestSummaryBoundsProperty(t *testing.T) {
 	}
 }
 
-// Property: Percentile is monotone in p and bounded by the sample range.
+// Property: Percentile is monotone in p, bounded by the sample range, and
+// equal to PercentileSorted over a sorted copy.
 func TestPercentileMonotoneProperty(t *testing.T) {
 	f := func(raw []int16, a, b uint8) bool {
 		if len(raw) == 0 {
@@ -173,6 +174,9 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 		v2 := Percentile(samples, p2)
 		sorted := append([]float64(nil), samples...)
 		sort.Float64s(sorted)
+		if PercentileSorted(sorted, p1) != v1 || PercentileSorted(sorted, p2) != v2 {
+			return false
+		}
 		return v1 <= v2+1e-9 && v1 >= sorted[0]-1e-9 && v2 <= sorted[len(sorted)-1]+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {

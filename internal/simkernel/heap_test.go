@@ -8,11 +8,11 @@ import (
 	"repro/internal/core"
 )
 
-// refEvent / refHeap reimplement the pre-optimization event queue — a
-// container/heap of pointers ordered by (at, seq) — as the reference model for
-// the property test below. The inline 4-ary heap plus same-instant ring must
-// pop in exactly this order for every schedule, or simulation runs would stop
-// being bit-reproducible across the rewrite.
+// refEvent / refHeap reimplement the original event queue — a container/heap
+// of pointers ordered by (at, seq) — as the reference model for the property
+// test below and FuzzEventQueue. The radix-heap eventQueue must pop in exactly
+// this order for every schedule, or simulation runs would stop being
+// bit-reproducible.
 type refEvent struct {
 	at  core.Time
 	seq uint64
@@ -39,68 +39,82 @@ func (h *refHeap) Pop() interface{} {
 }
 
 // TestSimulatorMatchesReferenceHeap drives randomized schedules — bursts of
-// same-time events (exercising the fast-path ring), near-time events, far
+// same-time events (exercising the same-instant run), near-time events, far
 // deadlines, and reschedules from inside callbacks — through both the
 // Simulator and the reference container/heap model, and requires the pop
-// order (including seq tie-breaks) to match exactly.
+// order (including seq tie-breaks) to match exactly. It runs once on the
+// sequential queue and once through the single lane of a sharded simulator,
+// the queue's other caller.
 func TestSimulatorMatchesReferenceHeap(t *testing.T) {
-	for trial := 0; trial < 50; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial + 1)))
-		sim := NewSimulator()
-
-		ref := refHeap{}
-		heap.Init(&ref)
-		var refSeq uint64
-
-		var got, want []uint64
-
-		// schedule mirrors one event into both queues. fires record into got;
-		// the reference order is reconstructed by draining ref afterwards.
-		var schedule func(at core.Time)
-		var scheduled int
-		schedule = func(at core.Time) {
-			scheduled++
-			refSeq++
-			seq := refSeq
-			heap.Push(&ref, &refEvent{at: at, seq: seq})
-			sim.At(at, func(now core.Time) {
-				if now != at {
-					t.Fatalf("trial %d: event %d fired at %v, scheduled for %v", trial, seq, now, at)
-				}
-				got = append(got, seq)
-				// Occasionally reschedule from inside the callback, including
-				// zero-delay events that land on the same-instant ring.
-				if scheduled < 300 && rng.Intn(3) == 0 {
-					n := 1 + rng.Intn(3)
-					for i := 0; i < n; i++ {
-						schedule(now.Add(core.Duration(rng.Intn(5)) * core.Microsecond))
-					}
-				}
-			})
+	for _, sharded := range []bool{false, true} {
+		for trial := 0; trial < 50; trial++ {
+			matchReferenceHeap(t, sharded, trial)
 		}
+	}
+}
 
-		initial := 30 + rng.Intn(50)
-		for i := 0; i < initial; i++ {
-			// Cluster times so same-(at) ties with distinct seq are frequent.
-			schedule(core.Time(rng.Intn(20)) * core.Time(core.Microsecond))
-		}
-		sim.Run()
+// matchReferenceHeap runs one randomized trial of
+// TestSimulatorMatchesReferenceHeap.
+func matchReferenceHeap(t *testing.T, sharded bool, trial int) {
+	rng := rand.New(rand.NewSource(int64(trial + 1)))
+	sim := NewSimulator()
+	if sharded {
+		sim.EnableSharding(1, 1, core.Microsecond)
+	}
+	q := sim.LaneQ(0)
 
-		for ref.Len() > 0 {
-			want = append(want, heap.Pop(&ref).(*refEvent).seq)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: executed %d events, reference holds %d", trial, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: pop %d: simulator fired seq %d, reference expects seq %d",
-					trial, i, got[i], want[i])
+	ref := refHeap{}
+	heap.Init(&ref)
+	var refSeq uint64
+
+	var got, want []uint64
+
+	// schedule mirrors one event into both queues. fires record into got;
+	// the reference order is reconstructed by draining ref afterwards.
+	var schedule func(at core.Time)
+	var scheduled int
+	schedule = func(at core.Time) {
+		scheduled++
+		refSeq++
+		seq := refSeq
+		heap.Push(&ref, &refEvent{at: at, seq: seq})
+		q.At(at, func(now core.Time) {
+			if now != at {
+				t.Fatalf("sharded %v trial %d: event %d fired at %v, scheduled for %v", sharded, trial, seq, now, at)
 			}
+			got = append(got, seq)
+			// Occasionally reschedule from inside the callback, including
+			// zero-delay events that land on the same-instant run.
+			if scheduled < 300 && rng.Intn(3) == 0 {
+				n := 1 + rng.Intn(3)
+				for i := 0; i < n; i++ {
+					schedule(now.Add(core.Duration(rng.Intn(5)) * core.Microsecond))
+				}
+			}
+		})
+	}
+
+	initial := 30 + rng.Intn(50)
+	for i := 0; i < initial; i++ {
+		// Cluster times so same-(at) ties with distinct seq are frequent.
+		schedule(core.Time(rng.Intn(20)) * core.Time(core.Microsecond))
+	}
+	sim.Run()
+
+	for ref.Len() > 0 {
+		want = append(want, heap.Pop(&ref).(*refEvent).seq)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("sharded %v trial %d: executed %d events, reference holds %d", sharded, trial, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("sharded %v trial %d: pop %d: simulator fired seq %d, reference expects seq %d",
+				sharded, trial, i, got[i], want[i])
 		}
-		if sim.Pending() != 0 {
-			t.Fatalf("trial %d: %d events still pending after Run", trial, sim.Pending())
-		}
+	}
+	if sim.Pending() != 0 {
+		t.Fatalf("sharded %v trial %d: %d events still pending after Run", sharded, trial, sim.Pending())
 	}
 }
 

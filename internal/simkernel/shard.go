@@ -2,8 +2,8 @@ package simkernel
 
 // Sharded (parallel) execution engine: a conservative parallel discrete-event
 // core in the Chandy–Misra–Bryant style. The pending-event set is split across
-// a fixed number of lanes (shards), each with its own clock and its own copy
-// of sim.go's split queue (inline 4-ary heap + same-instant FIFO ring). Real
+// a fixed number of lanes (shards), each with its own clock and its own
+// eventQueue (queue.go), the type the sequential Simulator uses. Real
 // goroutines execute lanes in parallel between barriers: in each epoch every
 // lane first drains its inbox rings, then executes events strictly below a
 // conservative horizon derived from the other lanes' earliest pending events
@@ -34,26 +34,14 @@ import (
 )
 
 type shardLane struct {
-	idx int
-	now core.Time
-	seq uint64
-
-	// heap + nowq duplicate the Simulator's split-queue idiom (see sim.go);
-	// the legacy single-queue path stays untouched so -threads 1 runs remain
-	// bit-identical to prior releases.
-	heap     []event
-	nowq     []event
-	nowqHead int
-
+	idx      int
+	now      core.Time
+	q        eventQueue
 	executed int64
 
 	next    core.Time // earliest pending instant, published at each barrier
 	horizon core.Time // exclusive execution bound for the current window
 }
-
-// farFuture is the sentinel "no pending event" instant (matching Run's
-// effectively-unbounded deadline in sim.go).
-const farFuture = core.Time(1<<62 - 1)
 
 // Q is a scheduling handle bound to one lane of a sharded simulator — or, on
 // an unsharded simulator, a thin delegate to the global queue. All simulation
@@ -194,7 +182,7 @@ func (s *Simulator) EnableSharding(lanes, workers int, lookahead core.Duration) 
 	if s.shard != nil {
 		panic("simkernel: EnableSharding called twice")
 	}
-	if s.now != 0 || len(s.heap) > 0 || len(s.nowq) > 0 {
+	if s.now != 0 || s.q.len() > 0 {
 		panic("simkernel: EnableSharding on a simulator already in use")
 	}
 	if lookahead <= 0 {
@@ -356,13 +344,12 @@ func (e *shardEngine) drainLane(j int) {
 					"simkernel: drained cross-lane event at %d not after lane %d clock %d",
 					r.at, j, ln.now))
 			}
-			ln.seq++
-			ln.heapPush(event{at: r.at, seq: ln.seq, fn: r.fn})
+			ln.q.push(r.at, r.fn)
 			r.fn = nil // release the closure for the collector
 		}
 		ring.recs = ring.recs[:0]
 	}
-	ln.next = ln.peekNext()
+	ln.next = ln.q.peek()
 }
 
 // coordinate is the serial section between drain and execution: it runs the
@@ -418,25 +405,22 @@ func (e *shardEngine) coordinate() {
 }
 
 // runWindow executes one lane's events strictly below its horizon (and not
-// past the run deadline), exactly as the legacy loop would: pop the (at, seq)
-// minimum, advance the lane clock, dispatch.
+// past the run deadline), exactly as the sequential loop does: pop the
+// (at, seq) minimum, advance the lane clock, dispatch.
 func (e *shardEngine) runWindow(ln *shardLane) {
 	h := ln.horizon
 	dl := e.deadline
 	for {
-		t := ln.peekNext()
+		t := ln.q.peek()
 		if t >= h || t > dl {
 			return
 		}
-		ev := ln.popMin()
+		ev := ln.q.pop()
 		ln.now = ev.at
 		ln.executed++
 		ev.fn(ev.at)
 	}
 }
-
-// --- lane-local split queue (duplicating sim.go's idiom; the legacy
-// single-queue code path is deliberately left untouched) ---
 
 // at schedules fn at absolute instant t on the lane.
 func (ln *shardLane) at(t core.Time, fn func(now core.Time)) {
@@ -446,98 +430,5 @@ func (ln *shardLane) at(t core.Time, fn func(now core.Time)) {
 	if t < ln.now {
 		panic(fmt.Sprintf("simkernel: lane %d scheduling into the past (%v < %v)", ln.idx, t, ln.now))
 	}
-	ln.seq++
-	if t == ln.now {
-		ln.nowq = append(ln.nowq, event{at: t, seq: ln.seq, fn: fn})
-		return
-	}
-	ln.heapPush(event{at: t, seq: ln.seq, fn: fn})
-}
-
-// peekNext returns the earliest pending instant, or farFuture when empty.
-func (ln *shardLane) peekNext() core.Time {
-	t := farFuture
-	if len(ln.heap) > 0 {
-		t = ln.heap[0].at
-	}
-	if ln.nowqHead < len(ln.nowq) && ln.nowq[ln.nowqHead].at < t {
-		t = ln.nowq[ln.nowqHead].at
-	}
-	return t
-}
-
-// pending reports the number of queued events on the lane.
-func (ln *shardLane) pending() int { return len(ln.heap) + len(ln.nowq) - ln.nowqHead }
-
-// popMin removes and returns the (at, seq) minimum across heap and ring. The
-// caller guarantees the lane is non-empty.
-func (ln *shardLane) popMin() event {
-	useNowq := ln.nowqHead < len(ln.nowq)
-	if len(ln.heap) > 0 {
-		if !useNowq || eventBefore(&ln.heap[0], &ln.nowq[ln.nowqHead]) {
-			return ln.heapPop()
-		}
-	}
-	head := &ln.nowq[ln.nowqHead]
-	e := *head
-	*head = event{} // release the closure for the collector
-	ln.nowqHead++
-	if ln.nowqHead == len(ln.nowq) {
-		ln.nowq = ln.nowq[:0]
-		ln.nowqHead = 0
-	}
-	return e
-}
-
-// heapPush inserts e into the lane's 4-ary heap (see Simulator.heapPush).
-func (ln *shardLane) heapPush(e event) {
-	h := append(ln.heap, event{})
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if eventBefore(&h[p], &e) {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = e
-	ln.heap = h
-}
-
-// heapPop removes and returns the minimum (see Simulator.heapPop).
-func (ln *shardLane) heapPop() event {
-	h := ln.heap
-	min := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = event{} // release the closure for the collector
-	h = h[:n]
-	if n > 0 {
-		i := 0
-		for {
-			c := 4*i + 1
-			if c >= n {
-				break
-			}
-			end := c + 4
-			if end > n {
-				end = n
-			}
-			m := c
-			for j := c + 1; j < end; j++ {
-				if eventBefore(&h[j], &h[m]) {
-					m = j
-				}
-			}
-			if eventBefore(&last, &h[m]) {
-				break
-			}
-			h[i] = h[m]
-			i = m
-		}
-		h[i] = last
-	}
-	ln.heap = h
-	return min
+	ln.q.push(t, fn)
 }

@@ -16,62 +16,24 @@ import (
 	"repro/internal/core"
 )
 
-// event is a scheduled callback in the simulation. Events are stored by value
-// inside the Simulator's queues — no per-schedule allocation, no interface
-// boxing — because scheduling is the hottest operation in the whole system
-// (every syscall batch, every network segment and every timer goes through
-// it). Only the callback closure itself may allocate, at the caller's site.
-type event struct {
-	at  core.Time
-	seq uint64
-	fn  func(now core.Time)
-}
-
-// eventBefore is the queue ordering: time first, then insertion order, so the
-// simulation is deterministic. Sequence numbers are unique, which makes the
-// order total.
-func eventBefore(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
 // Simulator is a deterministic discrete-event scheduler over virtual time.
 // The zero value is not usable; call NewSimulator.
 //
-// Internally the pending set is split between a hand-rolled inline-value
-// 4-ary min-heap (ordered by (at, seq)) and a same-instant FIFO ring: events
-// scheduled for exactly the current virtual instant — batch completions on an
-// idle CPU, immediate wakeups, deferred effects — skip the heap entirely.
-// Both structures reuse their backing storage across the run, so steady-state
-// scheduling performs no allocation at all. Pop order is the global (at, seq)
-// minimum across both, bit-identical to a single binary heap.
+// Pending events live in one eventQueue (queue.go), a monotone radix heap
+// that pops in (at, seq) order and allocates nothing in steady state. The
+// sharded engine's lanes (shard.go) each hold the same queue type.
 type Simulator struct {
 	now     core.Time
-	seq     uint64
 	stopped bool
-
-	// heap is the 4-ary min-heap (children of i at 4i+1..4i+4). A 4-ary
-	// layout halves the tree depth of a binary heap and keeps sibling
-	// comparisons inside one or two cache lines of the inline event values.
-	heap []event
-
-	// nowq is the same-instant fast path: a FIFO ring (head index into a
-	// reused slice) of events whose scheduled time equalled the current
-	// virtual time at At-time. The clock only moves forward and sequence
-	// numbers only grow, so the ring is always sorted by (at, seq) and its
-	// head is a valid candidate for the global minimum.
-	nowq     []event
-	nowqHead int
+	q       eventQueue
 
 	// Executed counts events dispatched since construction.
 	Executed int64
 
 	// shard is the sharded (parallel) execution engine, nil unless
 	// EnableSharding was called. When set, all scheduling goes through lane
-	// handles (LaneQ) and RunUntil drives the epoch loop in shard.go; the
-	// single-queue fields above stay unused so the legacy path is untouched.
+	// handles (LaneQ) and RunUntil drives the epoch loop in shard.go; q
+	// stays empty.
 	shard *shardEngine
 }
 
@@ -88,14 +50,14 @@ func (s *Simulator) Pending() int {
 	if s.shard != nil {
 		n := 0
 		for _, ln := range s.shard.lanes {
-			n += ln.pending()
+			n += ln.q.len()
 		}
 		for i := range s.shard.rings {
 			n += len(s.shard.rings[i].recs)
 		}
 		return n
 	}
-	return len(s.heap) + len(s.nowq) - s.nowqHead
+	return s.q.len()
 }
 
 // At schedules fn to run at the absolute virtual instant t. Scheduling in the
@@ -110,12 +72,7 @@ func (s *Simulator) At(t core.Time, fn func(now core.Time)) {
 	if t < s.now {
 		panic(fmt.Sprintf("simkernel: scheduling into the past (%v < %v)", t, s.now))
 	}
-	s.seq++
-	if t == s.now {
-		s.nowq = append(s.nowq, event{at: t, seq: s.seq, fn: fn})
-		return
-	}
-	s.heapPush(event{at: t, seq: s.seq, fn: fn})
+	s.q.push(t, fn)
 }
 
 // After schedules fn to run d after the current virtual time. A negative d is
@@ -132,7 +89,7 @@ func (s *Simulator) Stop() { s.stopped = true }
 
 // Run executes events until the queue is empty or Stop is called. It returns
 // the final virtual time.
-func (s *Simulator) Run() core.Time { return s.RunUntil(core.Time(1<<62 - 1)) }
+func (s *Simulator) Run() core.Time { return s.RunUntil(farFuture) }
 
 // RunUntil executes events with timestamps not after deadline, or until the
 // queue drains or Stop is called. The clock is left at the time of the last
@@ -160,7 +117,7 @@ func (s *Simulator) Step() bool {
 	if s.shard != nil {
 		panic("simkernel: Step on a sharded simulator")
 	}
-	e, ok := s.pop(core.Time(1<<62 - 1))
+	e, ok := s.pop(farFuture)
 	if !ok {
 		return false
 	}
@@ -170,90 +127,16 @@ func (s *Simulator) Step() bool {
 	return true
 }
 
-// pop removes and returns the globally earliest pending event. If that event
-// lies beyond deadline it is left queued, the clock advances to deadline, and
-// ok is false; ok is also false on an empty queue.
+// pop removes and returns the earliest pending event. If that event lies
+// beyond deadline it is left queued, the clock advances to deadline, and ok is
+// false; ok is also false on an empty queue.
 func (s *Simulator) pop(deadline core.Time) (e event, ok bool) {
-	useNowq := s.nowqHead < len(s.nowq)
-	if len(s.heap) > 0 {
-		if !useNowq || eventBefore(&s.heap[0], &s.nowq[s.nowqHead]) {
-			if s.heap[0].at > deadline {
-				s.now = deadline
-				return event{}, false
-			}
-			return s.heapPop(), true
-		}
-	}
-	if !useNowq {
+	if s.q.len() == 0 {
 		return event{}, false
 	}
-	head := &s.nowq[s.nowqHead]
-	if head.at > deadline {
+	if s.q.peek() > deadline {
 		s.now = deadline
 		return event{}, false
 	}
-	e = *head
-	*head = event{} // release the closure for the collector
-	s.nowqHead++
-	if s.nowqHead == len(s.nowq) {
-		// Drained: rewind the ring so the backing array is reused.
-		s.nowq = s.nowq[:0]
-		s.nowqHead = 0
-	}
-	return e, true
-}
-
-// heapPush inserts e, sifting the insertion hole up (moving parents down
-// rather than swapping) until the heap property holds.
-func (s *Simulator) heapPush(e event) {
-	h := append(s.heap, event{})
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if eventBefore(&h[p], &e) {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = e
-	s.heap = h
-}
-
-// heapPop removes and returns the minimum, sifting the former last element
-// down from the root.
-func (s *Simulator) heapPop() event {
-	h := s.heap
-	min := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = event{} // release the closure for the collector
-	h = h[:n]
-	if n > 0 {
-		i := 0
-		for {
-			c := 4*i + 1
-			if c >= n {
-				break
-			}
-			end := c + 4
-			if end > n {
-				end = n
-			}
-			m := c
-			for j := c + 1; j < end; j++ {
-				if eventBefore(&h[j], &h[m]) {
-					m = j
-				}
-			}
-			if eventBefore(&last, &h[m]) {
-				break
-			}
-			h[i] = h[m]
-			i = m
-		}
-		h[i] = last
-	}
-	s.heap = h
-	return min
+	return s.q.pop(), true
 }
