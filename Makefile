@@ -11,8 +11,8 @@ GOVULNCHECK_VERSION ?= v1.1.4
 DETERMINISM_OUT ?= determinism-out
 
 .PHONY: all fmt-check vet build test test-race staticcheck govulncheck \
-	perfbench-test fuzz-smoke bench-smoke ablation-smoke determinism bench-json \
-	bench-gate bench-crosscheck profile ci
+	perfbench-test fuzz-smoke bench-smoke ablation-smoke determinism figures-diff \
+	bench-json bench-gate bench-crosscheck profile ci
 
 all: ci
 
@@ -126,6 +126,34 @@ determinism:
 		&& diff $(DETERMINISM_OUT)/fig41-a.txt $(DETERMINISM_OUT)/fig41-t2.txt \
 		&& diff $(DETERMINISM_OUT)/fig41-a.txt $(DETERMINISM_OUT)/fig41-t8.txt \
 		&& echo "determinism: OK (incl. -threads 2/8 matrix)"
+
+# Byte-identity gate for refactors: build benchfig from revision $(BASE) and
+# from the working tree, then cmp every figure 4..43
+# (-connections 600 -quiet -percentiles) and the whole -ablation output
+# (-connections 600 -quiet) between the two. Any difference fails the target.
+# The base is exported with `git archive` into a temporary directory (removed
+# on exit), so the repository gains no worktree entry even if the run is
+# interrupted. Both sides' outputs stay in $(FIGURES_DIFF_OUT) for diffing.
+BASE ?= HEAD
+FIGURES_DIFF_OUT ?= figures-diff-out
+figures-diff:
+	@set -e; out=$(FIGURES_DIFF_OUT); tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	rm -rf $$out && mkdir -p $$out/base $$out/new; \
+	git archive --format=tar $(BASE) | tar -x -C $$tmp; \
+	(cd $$tmp && $(GO) build -o benchfig-base ./cmd/benchfig); \
+	$(GO) build -o $$tmp/benchfig-new ./cmd/benchfig; \
+	status=0; \
+	for n in $$(seq 4 43); do \
+		$$tmp/benchfig-base -fig $$n -connections 600 -quiet -percentiles > $$out/base/fig$$n.txt; \
+		$$tmp/benchfig-new -fig $$n -connections 600 -quiet -percentiles > $$out/new/fig$$n.txt; \
+		cmp -s $$out/base/fig$$n.txt $$out/new/fig$$n.txt || { echo "figures-diff: fig $$n differs"; status=1; }; \
+	done; \
+	$$tmp/benchfig-base -ablation -connections 600 -quiet > $$out/base/ablation.txt; \
+	$$tmp/benchfig-new -ablation -connections 600 -quiet > $$out/new/ablation.txt; \
+	cmp -s $$out/base/ablation.txt $$out/new/ablation.txt || { echo "figures-diff: -ablation differs"; status=1; }; \
+	if [ $$status -eq 0 ]; then echo "figures-diff: figures 4-43 and -ablation byte-identical to $(BASE)"; \
+	else echo "figures-diff: outputs differ; compare $$out/base with $$out/new"; fi; \
+	exit $$status
 
 # Refresh the committed benchmark baseline: the key figure points' reply
 # rates, p99 latencies and ns/op. Run this (and commit the result) in any PR

@@ -28,7 +28,7 @@ import (
 	"repro/internal/loadgen"
 	"repro/internal/netsim"
 	"repro/internal/servers/httpcore"
-	"repro/internal/servers/prefork"
+	"repro/internal/servers/thttpd"
 )
 
 var figConns = flag.Int("figconns", 2500, "benchmark connections per figure point in bench runs")
@@ -206,12 +206,12 @@ func BenchmarkExtKeepAlive(b *testing.B) {
 	}
 }
 
-// Extension: the prefork multi-worker server (figure-17 family). Each
+// Extension: thttpd with N workers, the prefork kinds (figure-17 family). Each
 // sub-benchmark runs N epoll workers on N simulated CPUs under an offered
 // load well above single-worker capacity, in both accept-distribution modes;
 // replies/s is the scaling curve's y value.
 func BenchmarkExtPreforkScaling(b *testing.B) {
-	for _, mode := range []prefork.Mode{prefork.ModeReuseport, prefork.ModeHandoff} {
+	for _, mode := range []thttpd.Mode{thttpd.ModeReuseport, thttpd.ModeHandoff} {
 		mode := mode
 		for _, workers := range []int{1, 2, 4} {
 			workers := workers

@@ -30,9 +30,10 @@ import (
 	"repro/internal/simtest"
 )
 
-// exchange starts a fresh thttpd/epoll with the given options, drives one
-// client connection through the payload, and returns the server, the bytes
-// the client received and the server CPU time consumed.
+// exchange starts a fresh one-worker thttpd on epoll with the given options,
+// drives one client connection through the payload, and returns the server,
+// the bytes the client received and the server CPU time consumed (on the
+// uniprocessor kernel, all of it is on k.CPU).
 func exchange(opts httpcore.Options, payload []byte) (*thttpd.Server, int, core.Duration) {
 	k := simkernel.NewKernel(nil)
 	n := netsim.New(k, netsim.DefaultConfig())

@@ -1,11 +1,12 @@
 // Webserver: thttpd on /dev/poll versus stock poll() under inactive load.
 //
 // This example reproduces, in miniature, the experiment behind Figures 6-9 of
-// the paper: the same single-process web server is run twice — once on stock
-// poll(), once on /dev/poll — against an httperf-like load of 800 requests per
-// second while 251 idle connections sit in its interest set. It prints the
-// reply rate, error percentage and median latency for both, showing the
-// /dev/poll advantage the paper measured.
+// the paper: the same web server, with one worker process as in the paper, is
+// run twice — once on stock poll(), once on /dev/poll — against an
+// httperf-like load of 1000 requests per second while 251 idle connections
+// sit in its interest set. It prints the reply rate, error percentage and
+// median latency for both, showing the /dev/poll advantage the paper
+// measured.
 package main
 
 import (

@@ -27,6 +27,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/rtsig"
 	"repro/internal/simkernel"
 )
 
@@ -348,6 +349,26 @@ func (b *Base) NewEvent(fd int, what What, cb Callback) *Event {
 func (b *Base) NewTimer(what What, cb Callback) *Event {
 	b.nextSeq++
 	return &Event{base: b, fd: -1, what: (what & EvPersist) | EvTimeout | EvSignal, timerOnly: true, cb: cb, wheelLevel: wheelUnarmed, seq: b.nextSeq}
+}
+
+// OnOverflow arms RT-signal overflow recovery when the active poller is an
+// *rtsig.Queue, and does nothing otherwise. The queue reports an overflow as
+// the SIGIO sentinel on rtsig.OverflowFD; a persistent signal event routes it
+// to q.Recover (flush the queue) and then fn, which must re-discover whatever
+// the dropped signals announced. Call it once, from inside the server's start
+// batch; arming on a closed base (or twice on one base) panics.
+func (b *Base) OnOverflow(fn func(now core.Time)) {
+	q, ok := b.Poller().(*rtsig.Queue)
+	if !ok {
+		return
+	}
+	ovf := b.NewEvent(rtsig.OverflowFD, EvSignal|EvPersist, func(_ int, _ What, now core.Time) {
+		q.Recover()
+		fn(now)
+	})
+	if err := ovf.Add(0); err != nil {
+		panic("eventlib: arming the overflow event: " + err.Error())
+	}
 }
 
 // Dispatch starts the event loop. It returns immediately — the loop advances

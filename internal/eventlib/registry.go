@@ -156,6 +156,14 @@ func Lookup(name string) (Backend, bool) {
 	return Backend{}, false
 }
 
+// EdgeStyle reports whether poller p delivers edge-style: the registry entry
+// named by p.Name() decides, so every server reads a poller the same way
+// whether it was opened through the registry or built directly.
+func EdgeStyle(p core.Poller) bool {
+	b, ok := Lookup(p.Name())
+	return ok && b.EdgeStyle
+}
+
 // DescribeBackends renders one line per registered backend — name, delivery
 // style, description — for listings and the listed-choices error, so the
 // mechanisms can be told apart without reading DESIGN.md.

@@ -54,15 +54,18 @@ func TestChaosRunsAreDeterministicAcrossThreads(t *testing.T) {
 	}
 }
 
-// TestChaosGracefulDegradation runs all five mechanisms under a combined
-// fault storm — connection resets, a binding descriptor limit and EINTR on
-// every other blocking wait — and requires each to degrade rather than break:
-// the run finishes, the books balance, the server keeps completing requests,
-// and the fault machinery demonstrably engaged.
+// TestChaosGracefulDegradation runs all five mechanisms, and thttpd with two
+// workers, under a combined fault storm — connection resets, a binding
+// descriptor limit and EINTR on every other blocking wait — and requires each
+// to degrade rather than break: the run finishes, the books balance, the
+// server keeps completing requests, and the fault machinery demonstrably
+// engaged (which for a multi-worker server means every worker's counters
+// reach the result).
 func TestChaosGracefulDegradation(t *testing.T) {
 	kinds := []ServerKind{
 		ServerThttpdPoll, ServerThttpdDevPoll, ServerPhhttpd,
 		ServerThttpdEpoll, ServerThttpdCompio, ServerHybrid,
+		PreforkKind(2), "prefork-2-rtsig",
 	}
 	for _, kind := range kinds {
 		spec := DefaultSpec(kind, 400, 251)

@@ -137,7 +137,7 @@ func ScaleRates() []float64 {
 // scaleFigures returns the scale figure family (figs 26-28): the paper's
 // reply-rate and p99 curves re-run at 10000, 20000 and 30000 benchmark
 // connections per point across all four event mechanisms plus the four-worker
-// prefork server. The paper's testbed topped out around 35000 connections per
+// thttpd (prefork-4). The paper's testbed topped out around 35000 connections per
 // run on a 400 MHz uniprocessor; these figures are what the optimized
 // simulation substrate buys — the same measurement an order of magnitude
 // beyond the original hardware's practical reach.

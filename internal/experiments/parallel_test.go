@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/netsim"
-	"repro/internal/servers/prefork"
+	"repro/internal/servers/thttpd"
 )
 
 // gatedMetrics renders every deterministic metric the figure and gate tooling
@@ -25,8 +25,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 	kinds := []ServerKind{
 		ServerThttpdPoll, ServerPhhttpd, ServerThttpdEpoll, PreforkKind(4), ServerHybrid,
 		// compio rides the same sharded kernel: its completion postings run as
-		// same-lane interrupts, so both the single-process server and the
-		// prefork wrapper must stay bit-identical at any thread count.
+		// same-lane interrupts, so thttpd with one worker and with two must
+		// stay bit-identical at any thread count.
 		ServerThttpdCompio, ServerKind("prefork-2-compio"),
 	}
 	for _, kind := range kinds {
@@ -81,7 +81,7 @@ func TestParallelIneligibleFallsBack(t *testing.T) {
 		}()},
 		{"handoff", func() RunSpec {
 			s := DefaultSpec(PreforkKind(2), 400, 0)
-			s.PreforkMode = prefork.ModeHandoff
+			s.PreforkMode = thttpd.ModeHandoff
 			return s
 		}()},
 	}

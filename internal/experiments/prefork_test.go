@@ -1,8 +1,9 @@
 package experiments
 
 // Tests for the prefork server kinds and the worker-scaling (figure-17)
-// machinery: kind resolution, the prefork-1 degeneracy guarantee, determinism
-// of multi-worker runs, and the scaling acceptance the figure claims.
+// machinery: kind resolution (prefork-N is thttpd with N workers),
+// determinism of multi-worker runs, and the scaling acceptance the figure
+// claims.
 
 import (
 	"reflect"
@@ -10,7 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/netsim"
-	"repro/internal/servers/prefork"
+	"repro/internal/servers/thttpd"
 )
 
 func TestResolvePreforkKinds(t *testing.T) {
@@ -30,7 +31,7 @@ func TestResolvePreforkKinds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("resolveKind(%q): %v", c.kind, err)
 		}
-		if rk.family != "prefork" || rk.workers != c.workers || rk.backend != c.backend {
+		if rk.family != "thttpd" || rk.workers != c.workers || rk.backend != c.backend {
 			t.Fatalf("resolveKind(%q) = %+v", c.kind, rk)
 		}
 	}
@@ -39,31 +40,30 @@ func TestResolvePreforkKinds(t *testing.T) {
 			t.Fatalf("ValidateServerKind(%q) = %v, want listed-choices error", bad, err)
 		}
 	}
+	// One worker is the paper's single-process server: both spellings name
+	// the same kind, so they build the same server.
+	for _, pair := range [][2]ServerKind{
+		{ServerThttpdEpoll, PreforkKind(1)},
+		{ServerThttpdPoll, "prefork-1-poll"},
+	} {
+		a, errA := resolveKind(pair[0])
+		b, errB := resolveKind(pair[1])
+		if errA != nil || errB != nil || a != b {
+			t.Fatalf("%s resolves to %+v (%v), %s to %+v (%v); want the same kind",
+				pair[0], a, errA, pair[1], b, errB)
+		}
+	}
 	if kind, err := RetargetKind("prefork-4", "epoll-et"); err != nil || kind != "prefork-4-epoll-et" {
 		t.Fatalf("RetargetKind = %v, %v", kind, err)
 	}
 	if kind, err := RetargetKind("prefork-4-epoll-et", "epoll"); err != nil || kind != "prefork-4" {
 		t.Fatalf("RetargetKind back = %v, %v", kind, err)
 	}
-}
-
-// prefork-1 must degenerate to exactly the single-process thttpd model: same
-// load results, same server counters, same loop counts as thttpd on the same
-// backend — the conformance that guarantees figures 4-16 are untouched by the
-// scheduler.
-func TestPreforkOneWorkerMatchesThttpd(t *testing.T) {
-	for _, backend := range []string{"epoll", "poll"} {
-		a := Run(RunSpec{Server: ServerKind("prefork-1-" + backend), RequestRate: 1000, Inactive: 501, Connections: 1500, Seed: 1})
-		b := Run(RunSpec{Server: ServerKind("thttpd-" + backend), RequestRate: 1000, Inactive: 501, Connections: 1500, Seed: 1})
-		if !reflect.DeepEqual(a.Load, b.Load) {
-			t.Fatalf("[%s] prefork-1 load diverges from thttpd:\n%v\n%v", backend, a.Load, b.Load)
-		}
-		if !reflect.DeepEqual(a.Server, b.Server) {
-			t.Fatalf("[%s] prefork-1 server stats diverge: %+v vs %+v", backend, a.Server, b.Server)
-		}
-		if a.EventLoops != b.EventLoops || !reflect.DeepEqual(a.Primary, b.Primary) {
-			t.Fatalf("[%s] prefork-1 mechanism behaviour diverges: loops %d vs %d", backend, a.EventLoops, b.EventLoops)
-		}
+	if kind, err := RetargetKind("prefork-1", "devpoll"); err != nil || kind != "prefork-1-devpoll" {
+		t.Fatalf("RetargetKind(prefork-1) = %v, %v; want the prefork spelling kept", kind, err)
+	}
+	if kind, err := RetargetKind(ServerThttpdEpoll, "devpoll"); err != nil || kind != ServerThttpdDevPoll {
+		t.Fatalf("RetargetKind(thttpd-epoll) = %v, %v", kind, err)
 	}
 }
 
@@ -112,7 +112,7 @@ func TestWorkerScalingMeetsAcceptance(t *testing.T) {
 // single-acceptor handoff costing throughput against in-stack sharding at the
 // contended point.
 func TestShardingPolicyAblation(t *testing.T) {
-	point := func(mode prefork.Mode, shard netsim.ShardPolicy) RunResult {
+	point := func(mode thttpd.Mode, shard netsim.ShardPolicy) RunResult {
 		netCfg := netsim.DefaultConfig()
 		netCfg.Shard = shard
 		return Run(RunSpec{
@@ -125,9 +125,9 @@ func TestShardingPolicyAblation(t *testing.T) {
 			PreforkMode: mode,
 		})
 	}
-	hash := point(prefork.ModeReuseport, netsim.ShardHash)
-	rr := point(prefork.ModeReuseport, netsim.ShardRoundRobin)
-	handoff := point(prefork.ModeHandoff, netsim.ShardHash)
+	hash := point(thttpd.ModeReuseport, netsim.ShardHash)
+	rr := point(thttpd.ModeReuseport, netsim.ShardRoundRobin)
+	handoff := point(thttpd.ModeHandoff, netsim.ShardHash)
 	if handoff.Handoffs == 0 {
 		t.Fatal("handoff mode performed no handoffs")
 	}
@@ -158,7 +158,7 @@ func TestWorkerFigureDefinitions(t *testing.T) {
 	res := RunWorkerFigure(WorkerFigure{
 		ID: "figtest", Number: 99, Title: "t", Paper: "p",
 		Rate: 1500, Inactive: 1, Workers: []int{1, 2},
-		Curves:          []WorkerCurve{{Label: "c", Mode: prefork.ModeReuseport, Shard: netsim.ShardHash}},
+		Curves:          []WorkerCurve{{Label: "c", Mode: thttpd.ModeReuseport, Shard: netsim.ShardHash}},
 		PlotUtilization: true,
 	}, SweepOptions{Connections: 400})
 	if len(res.Series) != 4 || len(res.Runs) != 2 {

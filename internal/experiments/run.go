@@ -20,7 +20,6 @@ import (
 	"repro/internal/servers/httpcore"
 	"repro/internal/servers/hybrid"
 	"repro/internal/servers/phhttpd"
-	"repro/internal/servers/prefork"
 	"repro/internal/servers/pushcore"
 	"repro/internal/servers/thttpd"
 	"repro/internal/simkernel"
@@ -46,9 +45,10 @@ const (
 	ServerThttpdCompio  ServerKind = "thttpd-compio"   // thttpd on the completion rings
 )
 
-// PreforkKind names the N-worker prefork server: "prefork-N" runs N workers
-// on epoll, "prefork-N-<backend>" on the named eventlib backend. Any N >= 1
-// resolves; ServerKinds lists the power-of-two sizes.
+// PreforkKind names thttpd run by N worker processes: "prefork-N" runs N
+// workers on epoll, "prefork-N-<backend>" on the named eventlib backend. Any
+// N >= 1 resolves; ServerKinds lists the power-of-two sizes. "prefork-1-<b>"
+// and "thttpd-<b>" name the same server.
 func PreforkKind(workers int) ServerKind {
 	return ServerKind(fmt.Sprintf("prefork-%d", workers))
 }
@@ -91,8 +91,9 @@ func ServerKinds() []ServerKind {
 }
 
 // resolvedKind is a parsed ServerKind: the family plus the backend that
-// parameterises it (the event backend for thttpd, the bulk poller for hybrid,
-// the per-worker backend for prefork) and, for prefork, the worker count.
+// parameterises it (the per-worker event backend for thttpd, the bulk poller
+// for hybrid) and, for thttpd, the worker count. The thttpd-<b> and
+// prefork-N[-<b>] spellings both resolve to the thttpd family.
 type resolvedKind struct {
 	family  string
 	backend string
@@ -115,7 +116,7 @@ func resolveKind(kind ServerKind) (resolvedKind, error) {
 	case strings.HasPrefix(s, "thttpd-"):
 		name := strings.TrimPrefix(s, "thttpd-")
 		if _, ok := eventlib.Lookup(name); ok {
-			return resolvedKind{family: "thttpd", backend: name}, nil
+			return resolvedKind{family: "thttpd", backend: name, workers: 1}, nil
 		}
 	case strings.HasPrefix(s, "hybrid-"):
 		name := strings.TrimPrefix(s, "hybrid-")
@@ -143,7 +144,7 @@ func resolveKind(kind ServerKind) (resolvedKind, error) {
 			break
 		}
 		if _, ok := eventlib.Lookup(backend); ok {
-			return resolvedKind{family: "prefork", backend: backend, workers: n}, nil
+			return resolvedKind{family: "thttpd", backend: backend, workers: n}, nil
 		}
 	}
 	return resolvedKind{}, unknownServerKindError(kind)
@@ -169,10 +170,11 @@ func ValidateServerKind(kind ServerKind) error {
 }
 
 // RetargetKind re-parameterises kind onto the named eventlib backend: thttpd
-// kinds switch their event backend, hybrid kinds switch their bulk poller
-// when the backend is bulk-capable, and other kinds (phhttpd, a hybrid asked
-// for a non-bulk backend) are returned unchanged. Unknown backend names
-// produce the registry's listed-choices error.
+// kinds switch their event backend (keeping the prefork-N spelling), hybrid
+// kinds switch their bulk poller when the backend is bulk-capable, and other
+// kinds (phhttpd, a hybrid asked for a non-bulk backend) are returned
+// unchanged. Unknown backend names produce the registry's listed-choices
+// error.
 func RetargetKind(kind ServerKind, backend string) (ServerKind, error) {
 	if _, ok := eventlib.Lookup(backend); !ok {
 		return kind, eventlib.UnknownBackendError(backend)
@@ -183,7 +185,13 @@ func RetargetKind(kind ServerKind, backend string) (ServerKind, error) {
 	}
 	switch rk.family {
 	case "thttpd":
-		return ServerKind("thttpd-" + backend), nil
+		if !strings.HasPrefix(string(kind), "prefork-") {
+			return ServerKind("thttpd-" + backend), nil
+		}
+		if backend == "epoll" {
+			return PreforkKind(rk.workers), nil
+		}
+		return ServerKind(fmt.Sprintf("prefork-%d-%s", rk.workers, backend)), nil
 	case "push":
 		return ServerKind("push-" + backend), nil
 	case "dht":
@@ -195,11 +203,6 @@ func RetargetKind(kind ServerKind, backend string) (ServerKind, error) {
 		if bulkCapable(backend) {
 			return ServerKind("hybrid-" + backend), nil
 		}
-	case "prefork":
-		if backend == "epoll" {
-			return PreforkKind(rk.workers), nil
-		}
-		return ServerKind(fmt.Sprintf("prefork-%d-%s", rk.workers, backend)), nil
 	}
 	return kind, nil
 }
@@ -253,17 +256,18 @@ type RunSpec struct {
 	// Network optionally overrides the testbed configuration.
 	Network *netsim.Config
 	// OpenPoller, when non-nil, replaces the registry's poller for the
-	// kind's backend: thttpd's event poller or the hybrid's bulk poller. The
-	// ablations build option variants (/dev/poll without hints, compio with
-	// another SQ size) this way; the override is read as level-shaped.
+	// kind's backend: every thttpd worker's event poller or the hybrid's bulk
+	// poller. The ablations build option variants (/dev/poll without hints,
+	// compio with another SQ size) this way; thttpd reads the override's
+	// delivery style from the registry entry its Name names.
 	OpenPoller func(*simkernel.Kernel, *simkernel.Proc) core.Poller
 	// PhhttpdBatchDequeue enables the sigtimedwait4 extension in phhttpd.
 	PhhttpdBatchDequeue bool
 	// HybridConfig optionally overrides the hybrid server configuration.
 	HybridConfig *hybrid.Config
-	// PreforkMode selects the prefork accept-distribution architecture
+	// PreforkMode selects how thttpd's workers receive connections
 	// (reuseport by default; handoff for the single-acceptor comparison).
-	PreforkMode prefork.Mode
+	PreforkMode thttpd.Mode
 	// RTQueueLimit overrides the RT signal queue limit (phhttpd, hybrid).
 	RTQueueLimit int
 
@@ -272,7 +276,7 @@ type RunSpec struct {
 	// lane per simulated CPU plus a driver lane, synchronised by RTT
 	// lookahead, and runs it on N goroutines. Figures are byte-identical
 	// across thread counts. Configurations the sharded engine cannot host
-	// (round-robin listener sharding, prefork handoff mode, a TIME-WAIT
+	// (round-robin listener sharding, thttpd's handoff mode, a TIME-WAIT
 	// shorter than the lookahead window) silently run sequentially.
 	Threads int
 
@@ -317,15 +321,15 @@ type RunResult struct {
 	// (identical to Load.Latency, surfaced here so figure and gate tooling
 	// need not reach into the loadgen result); ServiceLatency is the
 	// server-side accept-to-response-written distribution measured inside
-	// the dispatch path, merged across prefork workers.
+	// the dispatch path, merged across thttpd workers.
 	Latency        metrics.LatencyPercentiles
 	ServiceLatency metrics.LatencyPercentiles
 
 	// CPUUtilization is the mean per-CPU utilisation over each CPU's work
 	// window — identical to the single CPU's utilisation on a uniprocessor
-	// run. PerCPUUtilization holds the per-core values; Workers the prefork
-	// worker count (1 for the single-process servers); PerWorkerServed the
-	// served-request balance the accept sharding achieved.
+	// run. PerCPUUtilization holds the per-core values; Workers the thttpd
+	// worker count (1 for the single-process servers); PerWorkerServed
+	// thttpd's served-request balance across workers.
 	CPUUtilization    float64
 	PerCPUUtilization []float64
 	Workers           int
@@ -351,12 +355,14 @@ type benchServer interface {
 type thttpdRun struct{ *thttpd.Server }
 
 func (r thttpdRun) fill(res *RunResult) {
-	if src, ok := r.Poller().(core.StatsSource); ok {
-		res.Primary = src.MechanismStats()
-	}
+	res.Primary = r.MechanismStats()
 	res.EventLoops = r.Loops()
 	res.FinalMode = r.Poller().Name()
-	res.ServiceLatency = r.Handler().ServiceLatency.Percentiles()
+	res.Workers = r.Config().Workers
+	res.PerWorkerServed = r.PerWorkerServed()
+	res.Handoffs = r.Handoffs
+	merged := r.ServiceLatency()
+	res.ServiceLatency = merged.Percentiles()
 }
 
 type phhttpdRun struct{ *phhttpd.Server }
@@ -369,20 +375,6 @@ func (r phhttpdRun) fill(res *RunResult) {
 	res.Overflows = r.Overflows
 	res.Handoffs = r.Handoffs
 	res.ServiceLatency = r.Handler().ServiceLatency.Percentiles()
-}
-
-type preforkRun struct{ *prefork.Server }
-
-func (r preforkRun) fill(res *RunResult) {
-	res.Primary = r.MechanismStats()
-	res.EventLoops = r.Loops()
-	res.FinalMode = fmt.Sprintf("prefork-%d/%s/%s",
-		r.Config().Workers, r.Config().Backend, r.Config().Mode)
-	res.Workers = r.Config().Workers
-	res.PerWorkerServed = r.PerWorkerServed()
-	res.Handoffs = r.Handoffs
-	merged := r.ServiceLatency()
-	res.ServiceLatency = merged.Percentiles()
 }
 
 type hybridRun struct{ *hybrid.Server }
@@ -475,12 +467,6 @@ func buildServer(spec RunSpec, wl loadgen.Workload, rk resolvedKind, k *simkerne
 			cfg.PeerTimeout = wl.PeerTimeout
 		}
 		return dhtRun{dhtnode.New(k, net, cfg)}
-	case "prefork":
-		cfg := prefork.DefaultConfig(rk.workers)
-		cfg.Backend = rk.backend
-		cfg.Mode = spec.PreforkMode
-		applyHTTP(&cfg.HTTP, spec)
-		return preforkRun{prefork.New(k, net, cfg)}
 	case "phhttpd":
 		cfg := phhttpd.DefaultConfig()
 		cfg.BatchDequeue = spec.PhhttpdBatchDequeue
@@ -506,8 +492,10 @@ func buildServer(spec RunSpec, wl loadgen.Workload, rk resolvedKind, k *simkerne
 		}
 		applyHTTP(&cfg.HTTP, spec)
 		return hybridRun{hybrid.New(k, net, cfg)}
-	default: // thttpd
+	default: // thttpd, any worker count
 		cfg := thttpd.DefaultConfig()
+		cfg.Workers = rk.workers
+		cfg.Mode = spec.PreforkMode
 		cfg.Backend = rk.backend
 		cfg.OpenPoller = spec.OpenPoller
 		applyHTTP(&cfg.HTTP, spec)
@@ -784,7 +772,7 @@ func minRTT(netCfg netsim.Config, lcfg loadgen.Config) core.Duration {
 // parallelThreads resolves the spec's thread request against the sharded
 // engine's eligibility rules, returning 1 (sequential) when the configuration
 // cannot be parallelised: round-robin listener sharding mutates shared state
-// per connection, prefork handoff adopts connections across workers, and a
+// per connection, thttpd's handoff mode adopts connections across workers, and a
 // TIME-WAIT shorter than the lookahead window cannot defer port releases.
 func parallelThreads(spec RunSpec, rk resolvedKind, netCfg netsim.Config, lcfg loadgen.Config) int {
 	if spec.Threads < 2 {
@@ -793,7 +781,7 @@ func parallelThreads(spec RunSpec, rk resolvedKind, netCfg netsim.Config, lcfg l
 	if netCfg.Shard == netsim.ShardRoundRobin {
 		return 1
 	}
-	if rk.family == "prefork" && spec.PreforkMode == prefork.ModeHandoff {
+	if rk.family == "thttpd" && spec.PreforkMode == thttpd.ModeHandoff {
 		return 1
 	}
 	tw := netCfg.TimeWait

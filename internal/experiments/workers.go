@@ -7,14 +7,14 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/netsim"
-	"repro/internal/servers/prefork"
+	"repro/internal/servers/thttpd"
 )
 
 // WorkerCurve is one plotted configuration of a worker-scaling figure: an
 // accept-distribution architecture plus a sharding policy.
 type WorkerCurve struct {
 	Label string
-	Mode  prefork.Mode
+	Mode  thttpd.Mode
 	Shard netsim.ShardPolicy
 	// Backend names the per-worker eventlib backend; empty selects epoll.
 	Backend string
@@ -74,7 +74,7 @@ func workerFigures() []WorkerFigure {
 			Rate:            3000,
 			Inactive:        1500,
 			Workers:         DefaultWorkerCounts(),
-			Curves:          []WorkerCurve{{Label: "reuseport-hash", Mode: prefork.ModeReuseport, Shard: netsim.ShardHash}},
+			Curves:          []WorkerCurve{{Label: "reuseport-hash", Mode: thttpd.ModeReuseport, Shard: netsim.ShardHash}},
 			PlotUtilization: true,
 		},
 		{
@@ -88,9 +88,9 @@ func workerFigures() []WorkerFigure {
 			Inactive: 1500,
 			Workers:  DefaultWorkerCounts(),
 			Curves: []WorkerCurve{
-				{Label: "reuseport-hash", Mode: prefork.ModeReuseport, Shard: netsim.ShardHash},
-				{Label: "reuseport-rr", Mode: prefork.ModeReuseport, Shard: netsim.ShardRoundRobin},
-				{Label: "handoff", Mode: prefork.ModeHandoff, Shard: netsim.ShardHash},
+				{Label: "reuseport-hash", Mode: thttpd.ModeReuseport, Shard: netsim.ShardHash},
+				{Label: "reuseport-rr", Mode: thttpd.ModeReuseport, Shard: netsim.ShardRoundRobin},
+				{Label: "handoff", Mode: thttpd.ModeHandoff, Shard: netsim.ShardHash},
 			},
 		},
 	}

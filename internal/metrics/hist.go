@@ -13,7 +13,7 @@ import (
 // sub-buckets per power of two, giving a worst-case relative error of ~3%
 // from a few microseconds up past an hour. The layout is identical for every
 // histogram, so histograms merge bucket-by-bucket (per-worker service-time
-// histograms in the prefork server sum into one server-wide distribution).
+// histograms of a multi-worker thttpd sum into one server-wide distribution).
 //
 // The struct holds its buckets inline: Observe performs no allocation, no
 // sorting and no floating-point work, so it can sit on the dispatch hot path

@@ -19,7 +19,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/eventlib"
 	"repro/internal/netsim"
-	"repro/internal/rtsig"
 	"repro/internal/simkernel"
 )
 
@@ -140,16 +139,7 @@ func (s *Server) Start() {
 		if err := sweep.Add(s.cfg.SweepInterval); err != nil {
 			panic("dhtnode: arming the sweep timer: " + err.Error())
 		}
-		if q, ok := s.base.Poller().(*rtsig.Queue); ok {
-			ovf := s.base.NewEvent(rtsig.OverflowFD, eventlib.EvSignal|eventlib.EvPersist,
-				func(_ int, _ eventlib.What, now core.Time) {
-					q.Recover()
-					s.rescan(now)
-				})
-			if err := ovf.Add(0); err != nil {
-				panic("dhtnode: arming the overflow event: " + err.Error())
-			}
-		}
+		s.base.OnOverflow(s.rescan)
 	}, func(core.Time) {
 		s.base.Dispatch()
 	})

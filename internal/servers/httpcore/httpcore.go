@@ -154,6 +154,26 @@ type Stats struct {
 	AcceptBackoffs int64
 }
 
+// Add accumulates o into s, field by field: the server-wide view of several
+// workers' handlers.
+func (s *Stats) Add(o Stats) {
+	s.Accepted += o.Accepted
+	s.Served += o.Served
+	s.NotFound += o.NotFound
+	s.BadRequests += o.BadRequests
+	s.EOFCloses += o.EOFCloses
+	s.IdleCloses += o.IdleCloses
+	s.Closed += o.Closed
+	s.BytesSent += o.BytesSent
+	s.KeptAlive += o.KeptAlive
+	s.Pushed += o.Pushed
+	s.CacheHits += o.CacheHits
+	s.CacheMisses += o.CacheMisses
+	s.Resets += o.Resets
+	s.EmfileSheds += o.EmfileSheds
+	s.AcceptBackoffs += o.AcceptBackoffs
+}
+
 // Conn is the per-connection state a server keeps. Closed connections return
 // to a pool on the handler, and the embedded parser keeps its buffer and
 // header-map storage across reuses, so the accept path allocates nothing at
@@ -267,7 +287,7 @@ type Handler struct {
 	// response-fully-written, observed inside the dispatch batch that
 	// completes each request. The histogram is embedded (fixed buckets, no
 	// allocation per observation) so measuring it never perturbs the run it
-	// measures; prefork merges the per-worker histograms into one.
+	// measures; a multi-worker thttpd merges its workers' histograms into one.
 	ServiceLatency metrics.LatencyHist
 }
 

@@ -15,7 +15,7 @@ type ServeConfig struct {
 	// bookkeeping charge.
 	Read func(now core.Time, fd int)
 	// Accept, when non-nil, replaces the whole listener-readable callback:
-	// the prefork server's single-acceptor mode drains the queue with
+	// thttpd's single-acceptor (handoff) mode drains the queue with
 	// AcceptDetach and hands connections to sibling workers instead of
 	// installing them locally. AfterAccept is not invoked for it.
 	Accept func(now core.Time)

@@ -202,14 +202,7 @@ func (s *Server) Start() {
 		// Overflow is simply an early, emphatic load signal; the devpoll
 		// interest set is already current, so recovery is one Recover plus
 		// the next devpoll scan.
-		ovf := s.base.NewEvent(rtsig.OverflowFD, eventlib.EvSignal|eventlib.EvPersist,
-			func(_ int, _ eventlib.What, now core.Time) {
-				s.rtq.Recover()
-				s.switchMode(now, ModePolling)
-			})
-		if err := ovf.Add(0); err != nil {
-			panic("hybrid: arming the overflow event: " + err.Error())
-		}
+		s.base.OnOverflow(func(now core.Time) { s.switchMode(now, ModePolling) })
 		if s.cfg.IdleTimeout <= 0 {
 			// The switch policy (AfterDispatch) needs the loop to wake at
 			// least every WaitTimeout even with no I/O, as the hand-rolled

@@ -18,7 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/eventlib"
 	"repro/internal/netsim"
-	"repro/internal/rtsig"
 	"repro/internal/simkernel"
 )
 
@@ -136,7 +135,7 @@ func New(k *simkernel.Kernel, net *netsim.Network, cfg Config) *Server {
 	api := netsim.NewSockAPI(k, p, net)
 	s := &Server{K: k, Net: net, P: p, cfg: cfg, api: api}
 
-	poller, backend, err := eventlib.OpenBackend(k, p, cfg.Backend)
+	poller, _, err := eventlib.OpenBackend(k, p, cfg.Backend)
 	if err != nil {
 		panic("pushcore: " + err.Error())
 	}
@@ -144,7 +143,7 @@ func New(k *simkernel.Kernel, net *netsim.Network, cfg Config) *Server {
 		MaxEventsPerWait: cfg.MaxEventsPerWait,
 		LoopCost:         k.Cost.ServerLoopOverhead,
 	})
-	s.edgeStyle = backend.EdgeStyle
+	s.edgeStyle = eventlib.EdgeStyle(poller)
 	return s
 }
 
@@ -165,16 +164,7 @@ func (s *Server) Start() {
 		if err := s.tick.Add(s.cfg.TickInterval); err != nil {
 			panic("pushcore: arming the tick: " + err.Error())
 		}
-		if q, ok := s.base.Poller().(*rtsig.Queue); ok {
-			ovf := s.base.NewEvent(rtsig.OverflowFD, eventlib.EvSignal|eventlib.EvPersist,
-				func(_ int, _ eventlib.What, now core.Time) {
-					q.Recover()
-					s.rescan(now)
-				})
-			if err := ovf.Add(0); err != nil {
-				panic("pushcore: arming the overflow event: " + err.Error())
-			}
-		}
+		s.base.OnOverflow(s.rescan)
 	}, func(core.Time) {
 		s.base.Dispatch()
 	})

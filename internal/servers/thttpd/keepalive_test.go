@@ -62,8 +62,8 @@ func TestKeepAlivePipelinedEndToEnd(t *testing.T) {
 		t.Fatalf("open connections = %d", s.OpenConnections())
 	}
 	// One latency observation per request, not per connection.
-	if got := s.Handler().ServiceLatency.Count(); got != 9 {
-		t.Fatalf("latency observations = %d", got)
+	if lat := s.ServiceLatency(); lat.Count() != 9 {
+		t.Fatalf("latency observations = %d", lat.Count())
 	}
 }
 

@@ -1,12 +1,14 @@
 package thttpd
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/httpsim"
 	"repro/internal/netsim"
 	"repro/internal/rtsig"
+	"repro/internal/servers/httpcore"
 	"repro/internal/simkernel"
 	"repro/internal/simtest"
 )
@@ -184,10 +186,11 @@ func TestRtsigBackendRecoversFromOverflow(t *testing.T) {
 	k := simkernel.NewKernel(nil)
 	n := netsim.New(k, netsim.DefaultConfig())
 	cfg := DefaultConfig()
+	// The custom poller is an RT signal queue by name, so the server reads
+	// it as edge-style and arms overflow recovery without being told.
 	cfg.OpenPoller = func(k *simkernel.Kernel, p *simkernel.Proc) core.Poller {
 		return rtsig.New(k, p, rtsig.Options{QueueLimit: 4})
 	}
-	cfg.EdgeStyle = true
 	s := New(k, n, cfg)
 	s.Start()
 	k.Sim.RunUntil(core.Time(10 * core.Millisecond))
@@ -210,6 +213,31 @@ func TestRtsigBackendRecoversFromOverflow(t *testing.T) {
 	for i, p := range probes {
 		if !p.closed {
 			t.Fatalf("probe %d incomplete after overflow recovery", i)
+		}
+	}
+}
+
+// The server sums its workers' counters only through core.Stats.Add and
+// httpcore.Stats.Add. Setting every field by reflection and requiring Add to
+// double each one means a counter added later cannot be silently dropped from
+// the multi-worker totals.
+func TestStatsAddSumsEveryField(t *testing.T) {
+	var mech core.Stats
+	var app httpcore.Stats
+	for _, stats := range []any{&mech, &app} {
+		v := reflect.ValueOf(stats).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			v.Field(i).SetInt(int64(i + 1))
+		}
+	}
+	mech.Add(mech)
+	app.Add(app)
+	for _, stats := range []any{&mech, &app} {
+		v := reflect.ValueOf(stats).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			if got, want := v.Field(i).Int(), int64(2*(i+1)); got != want {
+				t.Errorf("%s.%s after Add = %d, want %d", v.Type(), v.Type().Field(i).Name, got, want)
+			}
 		}
 	}
 }
