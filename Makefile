@@ -12,7 +12,7 @@ DETERMINISM_OUT ?= determinism-out
 
 .PHONY: all fmt-check vet build test test-race staticcheck govulncheck \
 	perfbench-test fuzz-smoke bench-smoke ablation-smoke determinism figures-diff \
-	bench-json bench-gate bench-crosscheck profile ci
+	bench-json bench-gate bench-crosscheck profile loc ci
 
 all: ci
 
@@ -199,5 +199,15 @@ profile:
 		-mutexprofile $(PROFILE_OUT)/mutex.pprof -blockprofile $(PROFILE_OUT)/block.pprof \
 		> $(PROFILE_OUT)/fig16.txt
 	@echo "profiles written to $(PROFILE_OUT)/ (cpu.pprof, mem.pprof, mutex.pprof, block.pprof)"
+
+# Production Go line counts, tests excluded: the design aim's two tracked
+# numbers, cmd+internal and everything outside the perfbench/ module
+# (examples and the root package included). Hidden directories such as the
+# benchmark's build cache are skipped.
+loc:
+	@count() { find "$$@" -name '.?*' -prune -o -path ./perfbench -prune -o \
+		-name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l; }; \
+	echo "cmd+internal        $$(count cmd internal)"; \
+	echo "outside perfbench/  $$(count .)"
 
 ci: fmt-check vet staticcheck govulncheck build test perfbench-test fuzz-smoke bench-smoke ablation-smoke determinism

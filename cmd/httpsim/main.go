@@ -23,7 +23,7 @@ func main() {
 	inactive := flag.Int("inactive", 251, "inactive (idle, high-latency) connections")
 	connections := flag.Int("connections", 4000, "benchmark connections (paper: 35000)")
 	seed := flag.Int64("seed", 1, "load generator seed")
-	batchDequeue := flag.Bool("sigtimedwait4", false, "enable batch signal dequeue (phhttpd)")
+	batchDequeue := flag.Bool("sigtimedwait4", false, "enable batch signal dequeue (phhttpd, hybrid)")
 	queueLimit := flag.Int("queue-limit", 0, "override the RT signal queue limit (phhttpd, hybrid)")
 	flag.Parse()
 
@@ -41,13 +41,19 @@ func main() {
 	}
 
 	spec := experiments.RunSpec{
-		Server:              kind,
-		RequestRate:         *rate,
-		Inactive:            *inactive,
-		Connections:         *connections,
-		Seed:                *seed,
-		PhhttpdBatchDequeue: *batchDequeue,
-		RTQueueLimit:        *queueLimit,
+		Server:      kind,
+		RequestRate: *rate,
+		Inactive:    *inactive,
+		Connections: *connections,
+		Seed:        *seed,
+	}
+	dual := experiments.DualConfig(kind)
+	if *batchDequeue || *queueLimit > 0 {
+		dual.BatchDequeue = *batchDequeue
+		if *queueLimit > 0 {
+			dual.QueueLimit = *queueLimit
+		}
+		spec.Dual = &dual
 	}
 	res := experiments.Run(spec)
 	load := res.Load
@@ -88,7 +94,7 @@ func main() {
 		fmt.Printf("phhttpd recovery  overflows=%d handoffs=%d\n", res.Overflows, res.Handoffs)
 	}
 	if res.SwitchesToPoll > 0 || res.SwitchesToSignal > 0 {
-		fmt.Printf("hybrid switches   to-devpoll=%d to-signal=%d\n", res.SwitchesToPoll, res.SwitchesToSignal)
+		fmt.Printf("hybrid switches   to-%s=%d to-signal=%d\n", dual.Backend, res.SwitchesToPoll, res.SwitchesToSignal)
 	}
 	fmt.Printf("server stats      accepted=%d served=%d closed=%d idle-closes=%d bad-requests=%d\n",
 		res.Server.Accepted, res.Server.Served, res.Server.Closed, res.Server.IdleCloses, res.Server.BadRequests)

@@ -8,8 +8,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/devpoll"
 	"repro/internal/loadgen"
+	"repro/internal/servers/dual"
 	"repro/internal/servers/httpcore"
-	"repro/internal/servers/hybrid"
 	"repro/internal/simkernel"
 )
 
@@ -76,23 +76,23 @@ func Ablations(connections int) []Ablation {
 	mmapOn := base(ServerThttpdDevPoll, 1000, 501)
 	mmapOff := devpollWith(1000, func(o *devpoll.Options) { o.UseMmap = false })
 
+	// dualWith runs an RT-signal kind with its default configuration edited.
+	dualWith := func(kind ServerKind, rate float64, inactive int, edit func(*dual.Config)) RunSpec {
+		s := base(kind, rate, inactive)
+		cfg := DualConfig(kind)
+		edit(&cfg)
+		s.Dual = &cfg
+		return s
+	}
+
 	single := base(ServerPhhttpd, 900, 251)
-	batch := base(ServerPhhttpd, 900, 251)
-	batch.PhhttpdBatchDequeue = true
+	batch := dualWith(ServerPhhttpd, 900, 251, func(c *dual.Config) { c.BatchDequeue = true })
 
-	smallQueue := base(ServerPhhttpd, 1000, 501)
-	smallQueue.RTQueueLimit = 128
-	bigQueue := base(ServerPhhttpd, 1000, 501)
-	bigQueue.RTQueueLimit = 4096
+	smallQueue := dualWith(ServerPhhttpd, 1000, 501, func(c *dual.Config) { c.QueueLimit = 128 })
+	bigQueue := dualWith(ServerPhhttpd, 1000, 501, func(c *dual.Config) { c.QueueLimit = 4096 })
 
-	hybridEarly := base(ServerHybrid, 1000, 501)
-	earlyCfg := hybrid.DefaultConfig()
-	earlyCfg.HighWater = 32
-	hybridEarly.HybridConfig = &earlyCfg
-	hybridLate := base(ServerHybrid, 1000, 501)
-	lateCfg := hybrid.DefaultConfig()
-	lateCfg.HighWater = lateCfg.QueueLimit
-	hybridLate.HybridConfig = &lateCfg
+	hybridEarly := dualWith(ServerHybrid, 1000, 501, func(c *dual.Config) { c.HighWater = 32 })
+	hybridLate := dualWith(ServerHybrid, 1000, 501, func(c *dual.Config) { c.HighWater = c.QueueLimit })
 
 	hybridVsPh := base(ServerHybrid, 1000, 501)
 	phVsHybrid := base(ServerPhhttpd, 1000, 501)

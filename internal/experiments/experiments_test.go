@@ -8,8 +8,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/loadgen"
+	"repro/internal/servers/dual"
 	"repro/internal/servers/httpcore"
-	"repro/internal/servers/hybrid"
 )
 
 // testConns keeps the integration runs quick while staying long enough to
@@ -150,12 +150,55 @@ func TestEpollSustainsHeavyInactiveLoad(t *testing.T) {
 	}
 }
 
+// phhttpd and every hybrid kind are one RT-signal server: the kind picks the
+// policy and fallback, an override cannot change either, and both report the
+// RT queue as the primary mechanism and the fallback as the secondary.
+func TestDualKindsShareOneMechanismRule(t *testing.T) {
+	for _, c := range []struct {
+		kind     ServerKind
+		policy   dual.Policy
+		fallback string
+	}{
+		{ServerPhhttpd, dual.Handoff, "poll"},
+		{ServerHybrid, dual.Mirror, "devpoll"},
+		{ServerHybridEpollET, dual.Mirror, "epoll-et"},
+	} {
+		cfg := DualConfig(c.kind)
+		if cfg.Policy != c.policy || cfg.Backend != c.fallback {
+			t.Fatalf("%s: policy %v on %q, want %v on %q", c.kind, cfg.Policy, cfg.Backend, c.policy, c.fallback)
+		}
+		s := spec(c.kind, 1000, 251)
+		// A hybrid's configuration, with the switch pinned on, handed to any
+		// kind: the kind's own policy and fallback must still run.
+		pinned := DualConfig(ServerHybrid)
+		pinned.HighWater = 2
+		pinned.ConsecutiveLow = 1 << 30
+		s.Dual = &pinned
+		res := Run(s)
+		if res.Primary.Enqueued == 0 || res.Primary.EventsReturned == 0 {
+			t.Fatalf("%s: primary = %+v, want the RT signal queue's stats", c.kind, res.Primary)
+		}
+		if res.Secondary.Enqueued != 0 {
+			t.Fatalf("%s: secondary = %+v, want the fallback poller's stats", c.kind, res.Secondary)
+		}
+		switched := res.SwitchesToPoll > 0
+		if switched != (c.policy == dual.Mirror) {
+			t.Fatalf("%s: %d switches to polling under policy %v", c.kind, res.SwitchesToPoll, c.policy)
+		}
+		if switched && res.FinalMode != c.fallback {
+			t.Fatalf("%s: final mode %q, want the %s fallback by name", c.kind, res.FinalMode, c.fallback)
+		}
+	}
+}
+
 // The hybrid server accepts epoll as its bulk mechanism and still survives
 // overload with a tiny signal queue; with an aggressive crossover it actually
 // engages the epoll bulk poller and reports it by name.
 func TestHybridEpollSurvivesOverload(t *testing.T) {
 	s := spec(ServerHybridEpoll, 1300, 251)
-	s.RTQueueLimit = 16
+	small := DualConfig(ServerHybridEpoll)
+	small.QueueLimit = 16
+	s.Dual = &small
 	res := Run(s)
 	if res.Load.ReplyRate.Mean < 1000 {
 		t.Fatalf("hybrid-epoll throughput = %v, want epoll-class", res.Load.ReplyRate.Mean)
@@ -165,10 +208,10 @@ func TestHybridEpollSurvivesOverload(t *testing.T) {
 	}
 
 	early := spec(ServerHybridEpoll, 1300, 251)
-	cfg := hybrid.DefaultConfig()
+	cfg := DualConfig(ServerHybridEpoll)
 	cfg.HighWater = 2
 	cfg.ConsecutiveLow = 1 << 30 // never switch back: pin polling mode
-	early.HybridConfig = &cfg
+	early.Dual = &cfg
 	eres := Run(early)
 	if eres.SwitchesToPoll == 0 {
 		t.Fatal("hybrid-epoll never engaged its bulk poller despite HighWater=2")
@@ -227,7 +270,9 @@ func TestHybridHandlesOverloadGracefully(t *testing.T) {
 // losing connections beyond what the offered load itself forces.
 func TestHybridSurvivesTinySignalQueueUnderOverload(t *testing.T) {
 	s := spec(ServerHybrid, 1300, 251)
-	s.RTQueueLimit = 16
+	small := DualConfig(ServerHybrid)
+	small.QueueLimit = 16
+	s.Dual = &small
 	res := Run(s)
 	if res.Load.ReplyRate.Mean < 1000 {
 		t.Fatalf("hybrid throughput = %v, want /dev/poll-class", res.Load.ReplyRate.Mean)

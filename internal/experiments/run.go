@@ -17,9 +17,8 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/servers/dhtnode"
+	"repro/internal/servers/dual"
 	"repro/internal/servers/httpcore"
-	"repro/internal/servers/hybrid"
-	"repro/internal/servers/phhttpd"
 	"repro/internal/servers/pushcore"
 	"repro/internal/servers/thttpd"
 	"repro/internal/simkernel"
@@ -91,9 +90,9 @@ func ServerKinds() []ServerKind {
 }
 
 // resolvedKind is a parsed ServerKind: the family plus the backend that
-// parameterises it (the per-worker event backend for thttpd, the bulk poller
-// for hybrid) and, for thttpd, the worker count. The thttpd-<b> and
-// prefork-N[-<b>] spellings both resolve to the thttpd family.
+// parameterises it (the per-worker event backend for thttpd, the fallback
+// poller for phhttpd and hybrid) and, for thttpd, the worker count. The
+// thttpd-<b> and prefork-N[-<b>] spellings both resolve to the thttpd family.
 type resolvedKind struct {
 	family  string
 	backend string
@@ -110,7 +109,7 @@ func resolveKind(kind ServerKind) (resolvedKind, error) {
 	}
 	switch {
 	case s == "phhttpd":
-		return resolvedKind{family: "phhttpd"}, nil
+		return resolvedKind{family: "phhttpd", backend: "poll"}, nil
 	case s == "hybrid":
 		return resolvedKind{family: "hybrid", backend: "devpoll"}, nil
 	case strings.HasPrefix(s, "thttpd-"):
@@ -256,20 +255,19 @@ type RunSpec struct {
 	// Network optionally overrides the testbed configuration.
 	Network *netsim.Config
 	// OpenPoller, when non-nil, replaces the registry's poller for the
-	// kind's backend: every thttpd worker's event poller or the hybrid's bulk
-	// poller. The ablations build option variants (/dev/poll without hints,
-	// compio with another SQ size) this way; thttpd reads the override's
-	// delivery style from the registry entry its Name names.
+	// kind's backend: every thttpd worker's event poller, or the fallback
+	// poller of phhttpd and the hybrid. The ablations build option variants
+	// (/dev/poll without hints, compio with another SQ size) this way; thttpd
+	// reads the override's delivery style from the registry entry its Name
+	// names.
 	OpenPoller func(*simkernel.Kernel, *simkernel.Proc) core.Poller
-	// PhhttpdBatchDequeue enables the sigtimedwait4 extension in phhttpd.
-	PhhttpdBatchDequeue bool
-	// HybridConfig optionally overrides the hybrid server configuration.
-	HybridConfig *hybrid.Config
+	// Dual optionally overrides the RT-signal server configuration of the
+	// phhttpd and hybrid[-<b>] kinds; nil runs DualConfig(Server). The
+	// policy and fallback backend always come from the kind.
+	Dual *dual.Config
 	// PreforkMode selects how thttpd's workers receive connections
 	// (reuseport by default; handoff for the single-acceptor comparison).
 	PreforkMode thttpd.Mode
-	// RTQueueLimit overrides the RT signal queue limit (phhttpd, hybrid).
-	RTQueueLimit int
 
 	// Threads is the number of OS threads driving the simulation. 1 (or 0)
 	// selects the sequential engine; N >= 2 shards the event kernel into one
@@ -304,13 +302,14 @@ type RunResult struct {
 	Load   loadgen.Result
 	Server httpcore.Stats
 
-	// Mechanism statistics: Primary is the mechanism the server used most
-	// (poll, devpoll or rtsig); Secondary is populated for the two-mechanism
-	// servers (phhttpd's recovery poll set, hybrid's RT queue).
+	// Mechanism statistics: Primary is the server's event mechanism, the RT
+	// signal queue for phhttpd and the hybrid; Secondary is populated for
+	// those two only, with their fallback poller's.
 	Primary   core.Stats
 	Secondary core.Stats
 
-	// Mode/switching information for phhttpd and hybrid.
+	// Mode/switching information for phhttpd (overflows, handoffs) and the
+	// hybrid (switches).
 	FinalMode        string
 	Overflows        int64
 	Handoffs         int64
@@ -365,27 +364,17 @@ func (r thttpdRun) fill(res *RunResult) {
 	res.ServiceLatency = merged.Percentiles()
 }
 
-type phhttpdRun struct{ *phhttpd.Server }
+type dualRun struct{ *dual.Server }
 
-func (r phhttpdRun) fill(res *RunResult) {
+func (r dualRun) fill(res *RunResult) {
 	res.Primary = r.SignalQueue().MechanismStats()
-	res.Secondary = r.PollSet().MechanismStats()
-	res.EventLoops = r.Loops()
-	res.FinalMode = r.Mode().String()
-	res.Overflows = r.Overflows
-	res.Handoffs = r.Handoffs
-	res.ServiceLatency = r.Handler().ServiceLatency.Percentiles()
-}
-
-type hybridRun struct{ *hybrid.Server }
-
-func (r hybridRun) fill(res *RunResult) {
-	if src, ok := r.DevPollSet().(core.StatsSource); ok {
-		res.Primary = src.MechanismStats()
+	if src, ok := r.Fallback().(core.StatsSource); ok {
+		res.Secondary = src.MechanismStats()
 	}
-	res.Secondary = r.SignalQueue().MechanismStats()
 	res.EventLoops = r.Loops()
 	res.FinalMode = r.ModeName()
+	res.Overflows = r.Overflows
+	res.Handoffs = r.Handoffs
 	res.SwitchesToPoll = r.SwitchesToPoll
 	res.SwitchesToSignal = r.SwitchesToSignal
 	res.ServiceLatency = r.Handler().ServiceLatency.Percentiles()
@@ -467,31 +456,16 @@ func buildServer(spec RunSpec, wl loadgen.Workload, rk resolvedKind, k *simkerne
 			cfg.PeerTimeout = wl.PeerTimeout
 		}
 		return dhtRun{dhtnode.New(k, net, cfg)}
-	case "phhttpd":
-		cfg := phhttpd.DefaultConfig()
-		cfg.BatchDequeue = spec.PhhttpdBatchDequeue
-		if spec.RTQueueLimit > 0 {
-			cfg.QueueLimit = spec.RTQueueLimit
+	case "phhttpd", "hybrid":
+		kindCfg := DualConfig(spec.Server)
+		cfg := kindCfg
+		if spec.Dual != nil {
+			cfg = *spec.Dual
+			cfg.Policy, cfg.Backend = kindCfg.Policy, kindCfg.Backend
 		}
+		cfg.OpenPoller = spec.OpenPoller
 		applyHTTP(&cfg.HTTP, spec)
-		return phhttpdRun{phhttpd.New(k, net, cfg)}
-	case "hybrid":
-		cfg := hybrid.DefaultConfig()
-		if spec.HybridConfig != nil {
-			cfg = *spec.HybridConfig
-		}
-		if rk.backend != "devpoll" {
-			// Plain hybrid keeps its own /dev/poll bulk poller (cfg.DevPoll).
-			cfg.BulkBackend = rk.backend
-		}
-		if spec.OpenPoller != nil {
-			cfg.Bulk = spec.OpenPoller
-		}
-		if spec.RTQueueLimit > 0 {
-			cfg.QueueLimit = spec.RTQueueLimit
-		}
-		applyHTTP(&cfg.HTTP, spec)
-		return hybridRun{hybrid.New(k, net, cfg)}
+		return dualRun{dual.New(k, net, cfg)}
 	default: // thttpd, any worker count
 		cfg := thttpd.DefaultConfig()
 		cfg.Workers = rk.workers
@@ -503,9 +477,24 @@ func buildServer(spec RunSpec, wl loadgen.Workload, rk resolvedKind, k *simkerne
 	}
 }
 
+// DualConfig returns the default configuration of the RT-signal server a
+// phhttpd or hybrid[-<b>] kind runs: phhttpd's Handoff policy on a stock
+// poll() sibling, or the hybrid's Mirror policy on the kind's bulk poller.
+// It is the base a RunSpec.Dual override starts from; other kinds ignore it.
+func DualConfig(kind ServerKind) dual.Config {
+	rk, _ := resolveKind(kind)
+	policy := dual.Mirror
+	if rk.family == "phhttpd" {
+		policy = dual.Handoff
+	}
+	cfg := dual.DefaultConfig(policy)
+	cfg.Backend = rk.backend
+	return cfg
+}
+
 // applyHTTP copies the spec's persistent-connection options into a server
 // configuration. A zero spec.HTTP leaves the configuration's own value alone,
-// so a wholesale HybridConfig override keeps its own.
+// so a wholesale Dual override keeps its own.
 func applyHTTP(dst *httpcore.Options, spec RunSpec) {
 	if spec.HTTP != (httpcore.Options{}) {
 		*dst = spec.HTTP

@@ -11,8 +11,8 @@ import (
 // through HandleReadable and idle sweeping follows Handler.IdleTimeout.
 type ServeConfig struct {
 	// Read handles readability on one connection; nil selects
-	// Handler.HandleReadable. phhttpd wraps it with its per-connection
-	// bookkeeping charge.
+	// Handler.HandleReadable. The RT-signal server wraps it with phhttpd's
+	// per-connection bookkeeping charge.
 	Read func(now core.Time, fd int)
 	// Accept, when non-nil, replaces the whole listener-readable callback:
 	// thttpd's single-acceptor (handoff) mode drains the queue with
